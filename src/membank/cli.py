@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .engine import Mode, rollout
-from .errors import MembankError
+from .errors import ConfigError, MembankError
 from .metrics import (
     compute_metrics,
     grid_to_csv,
@@ -43,11 +43,22 @@ def load_config(path) -> ModelConfig:
     if path is None:
         return ModelConfig()
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ConfigError("config file must hold a JSON object")
     known = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = set(doc) - known
     if unknown:
-        raise MembankError(f"unknown config fields: {sorted(unknown)}")
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    for name, value in doc.items():
+        # bool is an int subclass; a JSON true is not a count.
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"config field {name!r} must be an integer, got {value!r}")
     return ModelConfig(**doc)
+
+
+def _check_repeat(repeat: int) -> None:
+    if repeat < 1:
+        raise ConfigError(f"--repeat must be >= 1, got {repeat}")
 
 
 def _effective_script(script: NarrativeScript, flag_seed) -> NarrativeScript:
@@ -79,6 +90,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    _check_repeat(args.repeat)
     script = _effective_script(parse_script(args.script), args.seed)
     cfg = load_config(args.config)
     if args.grid:
@@ -122,6 +134,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_repeat(args.repeat)
     cfg = load_config(args.config)
     if args.script:
         script = _effective_script(parse_script(args.script), args.seed)

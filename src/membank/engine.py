@@ -99,23 +99,6 @@ def initial_state(cfg: ModelConfig, mode: Mode) -> RolloutState:
     )
 
 
-def _layer_activation(
-    queries: np.ndarray, pool: Sequence[FrameKV], layer: int, k: int
-) -> ActivationSet:
-    """Top-k selection for one layer from head-averaged descriptors.
-
-    One selection per (chunk, layer), shared by every head of the layer,
-    keeping the attended-frame accounting head-independent.
-    """
-    qd = queries[:, layer].mean(axis=(0, 2))  # [H, d] averaged over frames/tokens
-    qd = qd.mean(axis=0)
-    scores = []
-    for f in pool:
-        kd = f.k[layer].mean(axis=1).mean(axis=0)  # heads x tokens pooled
-        scores.append(float(qd @ kd))
-    return select_top_k(scores, k)
-
-
 def step_chunk(
     state: RolloutState,
     prompt: TextQuery,
@@ -138,7 +121,6 @@ def step_chunk(
 
     frames = project_kv(chunk, cfg, weights)
     queries = project_queries(chunk, cfg, weights)  # [T, L, H, P, d]
-    scale = 1.0 / math.sqrt(cfg.head_dim)
 
     t0 = time.perf_counter()
     if mode is Mode.NO_MEMORY:
@@ -152,45 +134,56 @@ def step_chunk(
     selected: list[tuple[FrameKV, ...]] = [pool] * cfg.layers
     selected_ids: list[list[int]] = [[f.frame_id for f in pool]] * cfg.layers
     if mode is Mode.NAM_SMA and pool:
+        # Query descriptor per layer: queries pooled over frames and tokens,
+        # then heads; one selection per (chunk, layer), shared by its heads.
+        qd = queries.mean(axis=(0, 3)).mean(axis=1)  # [L, d]
+        kd = np.array([f.key_descriptor for f in pool])  # [pool, L, d]
+        # Row-wise sums, not a BLAS product: equal descriptors (the sink's
+        # first frame is also the bank's first prototype) must tie exactly.
+        scores = (kd * qd).sum(axis=2).T  # [L, pool]
         activation_sets = []
         selected = []
         selected_ids = []
         for l in range(cfg.layers):
-            act = _layer_activation(queries, pool, l, cfg.sma_k)
+            act = select_top_k(scores[l], cfg.sma_k)
             activation_sets.append(act)
             chosen = tuple(pool[i] for i in act.indices)
             selected.append(chosen)
             selected_ids.append([f.frame_id for f in chosen])
     wall["selection"] = time.perf_counter() - t0
 
+    # Each layer's K/V is assembled once as [H, N, d]: selected memory ++
+    # window ++ the new chunk. Query frame i attends to the prefix that
+    # ends with its own frame, so the intra-chunk causal mask is a slice.
+    # Blocks stay [P, N] per (head, query frame): a [H, T*P, N] block
+    # outgrows L2 cache at large P and runs slower. The K/V and logit
+    # buffers are allocated once per chunk and reused: at large P a fresh
+    # array per block costs more in page faults than the block's maths.
     t0 = time.perf_counter()
     T, P, d = cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.head_dim
+    q_scaled = queries * (1.0 / math.sqrt(d))
+    # Every layer attends the same number of memory frames.
+    n_keys = (len(selected[0]) + len(state.local_window) + T) * P
+    n_ctx = n_keys - T * P
+    k_l = np.empty((cfg.heads, n_keys, d))
+    v_l = np.empty((cfg.heads, n_keys, d))
+    logits = np.empty(P * n_keys)
     attended = 0
     outputs = []
     for l in range(cfg.layers):
+        context = selected[l] + state.local_window + tuple(frames)
+        np.concatenate([f.k[l] for f in context], axis=1, out=k_l)
+        np.concatenate([f.v[l] for f in context], axis=1, out=v_l)
         out_l = np.empty((T, cfg.heads, P, d))
-        mem = selected[l]
         for h in range(cfg.heads):
-            mem_k = [f.keys_at(l, h) for f in mem] + [
-                f.keys_at(l, h) for f in state.local_window
-            ]
-            mem_v = [f.values_at(l, h) for f in mem] + [
-                f.values_at(l, h) for f in state.local_window
-            ]
             for i in range(T):
-                k_cat = np.concatenate(
-                    mem_k + [fr.keys_at(l, h) for fr in frames[: i + 1]], axis=0
-                )
-                v_cat = np.concatenate(
-                    mem_v + [fr.values_at(l, h) for fr in frames[: i + 1]], axis=0
-                )
-                q_i = queries[i, l, h]
-                logits = q_i @ k_cat.T * scale
-                logits -= logits.max(axis=1, keepdims=True)
-                w = np.exp(logits)
-                w /= w.sum(axis=1, keepdims=True)
-                out_l[i, h] = w @ v_cat
-                attended += q_i.shape[0] * k_cat.shape[0]
+                n = n_ctx + (i + 1) * P
+                w = np.matmul(q_scaled[i, l, h], k_l[h, :n].T, out=logits[: P * n].reshape(P, n))
+                w -= w.max(axis=1, keepdims=True)
+                np.exp(w, out=w)
+                out = np.matmul(w, v_l[h, :n], out=out_l[i, h])
+                out /= w.sum(axis=1, keepdims=True)
+                attended += P * n
         outputs.append(out_l)
     wall["attention"] = time.perf_counter() - t0
 

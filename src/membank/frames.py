@@ -9,6 +9,7 @@ return new banks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,6 +41,15 @@ class FrameKV:
             raise ShapeError(f"k shape {self.k.shape} != v shape {self.v.shape}")
         self.k.setflags(write=False)
         self.v.setflags(write=False)
+
+    @cached_property
+    def key_descriptor(self) -> np.ndarray:
+        """Per-layer key descriptor [L, d]: keys pooled over tokens, then
+        heads. Computed on first use and kept, since a frame's keys never
+        change."""
+        desc = self.k.mean(axis=2).mean(axis=1)
+        desc.setflags(write=False)
+        return desc
 
     def keys_at(self, layer: int, head: int) -> np.ndarray:
         return self.k[layer, head]

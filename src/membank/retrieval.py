@@ -40,6 +40,8 @@ class TextQuery:
     def __post_init__(self):
         if self.q.ndim != 3:
             raise ShapeError("text query must be [L, H, d]")
+        if not np.all(np.isfinite(self.q)):
+            raise ShapeError("text query contains non-finite entries")
         self.q.setflags(write=False)
 
 
@@ -56,20 +58,15 @@ def text_relevance_scores(query: TextQuery, bank: MemoryBank) -> np.ndarray:
         raise ShapeError(
             f"query [L,H,d]={query.q.shape} incompatible with frame kv {first.k.shape}"
         )
-    tokens_per_frame = [f.k.shape[2] for f in bank.frames]
-    scores = np.zeros(len(bank))
-    for l in range(layers):
-        for h in range(heads):
-            keys = np.concatenate([f.keys_at(l, h) for f in bank.frames], axis=0)
-            logits = keys @ query.q[l, h] / np.sqrt(d)
-            logits -= logits.max()
-            weights = np.exp(logits)
-            weights /= weights.sum()
-            offset = 0
-            for i, p in enumerate(tokens_per_frame):
-                scores[i] += weights[offset : offset + p].mean()
-                offset += p
-    return scores / (layers * heads)
+    keys = np.concatenate([f.k for f in bank.frames], axis=2)  # [L, H, N, d]
+    logits = (keys @ query.q[..., None])[..., 0] / np.sqrt(d)  # [L, H, N]
+    logits -= logits.max(axis=2, keepdims=True)
+    weights = np.exp(logits)
+    weights /= weights.sum(axis=2, keepdims=True)
+    tokens_per_frame = np.array([f.k.shape[2] for f in bank.frames])
+    starts = np.cumsum(tokens_per_frame) - tokens_per_frame
+    per_frame = np.add.reduceat(weights, starts, axis=2) / tokens_per_frame  # [L, H, frames]
+    return per_frame.sum(axis=(0, 1)) / (layers * heads)
 
 
 def retrieve_top(scores: Sequence[float], r: int) -> list[int]:

@@ -110,6 +110,10 @@ class ChunkTokens:
     frames: np.ndarray
     topic_label: int
 
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.frames)):
+            raise ShapeError("chunk tokens contain non-finite entries")
+
 
 @dataclass(frozen=True)
 class Weights:
@@ -208,26 +212,29 @@ def synth_chunk(
 
 
 def project_kv(chunk: ChunkTokens, cfg: ModelConfig, weights: Weights) -> list[FrameKV]:
-    """Per-frame K/V projections of a chunk's tokens, ids consecutive."""
+    """Per-frame K/V projections of a chunk's tokens, ids consecutive.
+
+    One matmul per weight projects the whole chunk; each frame then gets
+    its own copy, so a frame kept in the bank does not pin the chunk's
+    K/V block.
+    """
     if chunk.frames.shape != (cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.model_dim):
         raise ShapeError(f"chunk token shape {chunk.frames.shape} does not match config")
-    out = []
-    for t in range(cfg.frames_per_chunk):
-        tokens = chunk.frames[t]
-        k = np.einsum("pm,lhmd->lhpd", tokens, weights.wk)
-        v = np.einsum("pm,lhmd->lhpd", tokens, weights.wv)
-        out.append(
-            FrameKV(
-                frame_id=chunk.chunk_id * cfg.frames_per_chunk + t,
-                chunk_id=chunk.chunk_id,
-                k=k,
-                v=v,
-                topic_label=chunk.topic_label,
-            )
+    tokens = chunk.frames[:, None, None]  # [T, 1, 1, P, M]
+    k = np.matmul(tokens, weights.wk)  # [T, L, H, P, d]
+    v = np.matmul(tokens, weights.wv)
+    return [
+        FrameKV(
+            frame_id=chunk.chunk_id * cfg.frames_per_chunk + t,
+            chunk_id=chunk.chunk_id,
+            k=k[t].copy(),
+            v=v[t].copy(),
+            topic_label=chunk.topic_label,
         )
-    return out
+        for t in range(cfg.frames_per_chunk)
+    ]
 
 
 def project_queries(chunk: ChunkTokens, cfg: ModelConfig, weights: Weights) -> np.ndarray:
     """Query projections for a chunk's tokens: [T, L, H, P, head_dim]."""
-    return np.einsum("tpm,lhmd->tlhpd", chunk.frames, weights.wq)
+    return np.matmul(chunk.frames[:, None, None], weights.wq)

@@ -69,6 +69,35 @@ def relevance_scores_loop(query, bank):
     return [t / (layers * heads) for t in totals]
 
 
+def sma_scores_loop(queries, pool, layer):
+    """Scalar-loop SMA relevance of each pool frame for one layer.
+
+    queries is the chunk's [T, L, H, P, d] projection. The query
+    descriptor is the mean of the layer's queries over frames, heads and
+    tokens; a frame's key descriptor is the mean of its layer keys over
+    heads and tokens; the score is their inner product."""
+    T, _, H, P, d = queries.shape
+    qd = [0.0] * d
+    for t in range(T):
+        for h in range(H):
+            for p in range(P):
+                for c in range(d):
+                    qd[c] += float(queries[t, layer, h, p, c]) / (T * H * P)
+    scores = []
+    for f in pool:
+        km = f.k[layer]
+        heads, tokens = km.shape[0], km.shape[1]
+        s = 0.0
+        for c in range(d):
+            kd = 0.0
+            for h in range(heads):
+                for p in range(tokens):
+                    kd += float(km[h, p, c])
+            s += qd[c] * kd / (heads * tokens)
+        scores.append(s)
+    return scores
+
+
 def best_subset(scores, k):
     """Exhaustive size-k subset maximizing the score sum; ties resolved
     toward later indices (recency), then returned ascending.

@@ -101,3 +101,27 @@ def test_bad_config_field(script_path, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
     assert main(["run", "--script", script_path, "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("value", ["2", 2.5, True, None])
+def test_config_field_must_be_integer(script_path, tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"layers": value}))
+    assert main(["run", "--script", script_path, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "layers" in err and err.count("\n") == 1
+
+
+def test_config_must_be_object(script_path, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([["layers", 2]]))
+    assert main(["run", "--script", script_path, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["ablate", "bench"])
+@pytest.mark.parametrize("repeat", ["0", "-2"])
+def test_repeat_below_one_rejected(script_path, capsys, command, repeat):
+    assert main([command, "--script", script_path, "--repeat", repeat]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--repeat" in err and err.count("\n") == 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from membank.activation import select_top_k
 from membank.engine import (
     Mode,
     full_memory_attention_oracle,
@@ -18,9 +19,11 @@ from membank.toymodel import (
     encode_prompt,
     init_weights,
     make_topic_space,
+    project_kv,
+    project_queries,
     synth_chunk,
 )
-from oracles import random_frames, sdp_attention_loop
+from oracles import random_frames, sdp_attention_loop, sma_scores_loop
 
 CFG = ModelConfig(seed=3)
 
@@ -41,6 +44,93 @@ def run_steps(mode, n_chunks, cfg=CFG, topic=0):
         state, res = step_chunk(state, prompt, chunk, cfg, w)
         results.append(res)
     return state, results
+
+
+# An odd geometry: three heads, a window that is not a multiple of the
+# chunk length, and a pool larger than k.
+ODD_CFG = ModelConfig(
+    heads=3, head_dim=8, tokens_per_frame=4, frames_per_chunk=2,
+    local_window=3, bank_capacity=2, sma_k=2, seed=5,
+)
+
+
+def record_steps(mode, cfg, topics=(0, 0, 1, 1, 0)):
+    """Step one chunk per entry of topics (the prompt follows the topic)
+    and record (pre_state, pre_sink, chunk, state, result) per chunk.
+
+    step_chunk sets the sink on chunk 0, so the pre-step sink is
+    snapshotted before each step."""
+    space = make_topic_space(2, cfg, 0.05)
+    w = init_weights(cfg)
+    state = initial_state(cfg, mode)
+    steps = []
+    for c, topic in enumerate(topics):
+        prompt = encode_prompt(f"prompt about topic {topic}", topic, cfg, space, w)
+        chunk = synth_chunk(topic, c, cfg, space)
+        pre_state, pre_sink = state, state.sink.frames
+        state, res = step_chunk(state, prompt, chunk, cfg, w)
+        steps.append((pre_state, pre_sink, chunk, state, res))
+    return w, steps
+
+
+class TestEngineAgainstOracle:
+    """The engine's own attention kernel, intra-chunk causal prefix
+    included, against the scalar-loop oracle."""
+
+    @pytest.mark.parametrize("cfg", [ModelConfig(seed=3), ODD_CFG], ids=["default", "odd"])
+    @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
+    def test_attention_outputs_match_oracle(self, mode, cfg):
+        T, d = cfg.frames_per_chunk, cfg.head_dim
+        scale = 1.0 / math.sqrt(d)
+        w, steps = record_steps(mode, cfg)
+        for pre_state, pre_sink, chunk, state, res in steps:
+            if mode is Mode.NO_MEMORY:
+                pool = ()
+            elif mode is Mode.FRAME_SINK:
+                pool = pre_sink
+            else:
+                pool = pre_sink + state.bank.frames
+            by_id = {f.frame_id: f for f in pool}
+            frames = project_kv(chunk, cfg, w)
+            queries = project_queries(chunk, cfg, w)
+            for l in range(cfg.layers):
+                ids = res.selected_frame_ids[l]
+                if mode is Mode.NAM_SMA:
+                    assert len(ids) == min(cfg.sma_k, len(pool))
+                    assert set(ids) <= set(by_id)
+                else:
+                    assert ids == [f.frame_id for f in pool]
+                memory = [by_id[i] for i in ids]
+                for i in range(T):
+                    local = pre_state.local_window + tuple(frames[: i + 1])
+                    for h in range(cfg.heads):
+                        want = full_memory_attention_oracle(
+                            queries[i, l, h], memory, local, l, h, scale
+                        )
+                        got = res.attention_outputs[l][i, h]
+                        assert np.max(np.abs(got - np.array(want))) <= 1e-9
+
+
+class TestSmaSelection:
+    @pytest.mark.parametrize("cfg", [ModelConfig(seed=3), ODD_CFG], ids=["default", "odd"])
+    def test_selection_matches_descriptor_oracle(self, cfg):
+        w, steps = record_steps(Mode.NAM_SMA, cfg, topics=(0, 1, 0, 1, 1, 0, 0))
+        checked = 0
+        for _, pre_sink, chunk, state, res in steps:
+            pool = pre_sink + state.bank.frames
+            if not pool:
+                assert res.activation_sets == [None] * cfg.layers
+                continue
+            queries = project_queries(chunk, cfg, w)
+            for l in range(cfg.layers):
+                scores = sma_scores_loop(queries, pool, l)
+                want = select_top_k(scores, cfg.sma_k)
+                got = res.activation_sets[l]
+                assert got.indices == want.indices
+                assert np.allclose(got.scores, want.scores, rtol=1e-12, atol=1e-15)
+                assert res.selected_frame_ids[l] == [pool[i].frame_id for i in want.indices]
+                checked += 1
+        assert checked == (len(steps) - 1) * cfg.layers
 
 
 class TestStepChunk:

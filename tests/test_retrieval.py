@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from membank.errors import EmptyMemoryError
+from membank.errors import EmptyMemoryError, ShapeError
 from membank.frames import FrameKV, bank_append, bank_new
 from membank.retrieval import (
     TextQuery,
@@ -66,6 +66,22 @@ class TestRelevanceScores:
             got = text_relevance_scores(q, bank)
             want = np.array(relevance_scores_loop(q, bank))
             assert np.allclose(got, want, rtol=1e-9, atol=1e-15)
+
+    def test_mixed_token_counts_match_scalar_oracle(self, rng):
+        frames = [
+            random_frames(rng, 1, tokens=p, start_id=i)[0] for i, p in enumerate((2, 5, 1, 3))
+        ]
+        bank = make_bank(frames)
+        q = make_query(rng)
+        got = text_relevance_scores(q, bank)
+        want = np.array(relevance_scores_loop(q, bank))
+        assert np.allclose(got, want, rtol=1e-9, atol=1e-15)
+
+    def test_non_finite_query_rejected(self):
+        q = np.zeros((L, H, D))
+        q[1, 0, 2] = np.inf
+        with pytest.raises(ShapeError):
+            TextQuery(q)
 
     def test_empty_bank_errors(self, rng):
         with pytest.raises(EmptyMemoryError):

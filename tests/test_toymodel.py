@@ -156,6 +156,32 @@ class TestProjectKV:
         with pytest.raises(ShapeError):
             project_kv(bad, CFG, self.w)
 
+    def test_matches_per_frame_loop(self):
+        chunk = synth_chunk(1, 4, CFG, self.space)
+        frames = project_kv(chunk, CFG, self.w)
+        queries = project_queries(chunk, CFG, self.w)
+        for t, f in enumerate(frames):
+            tokens = chunk.frames[t]
+            for l in range(CFG.layers):
+                for h in range(CFG.heads):
+                    assert np.allclose(f.k[l, h], tokens @ self.w.wk[l, h], rtol=0, atol=1e-12)
+                    assert np.allclose(f.v[l, h], tokens @ self.w.wv[l, h], rtol=0, atol=1e-12)
+                    assert np.allclose(queries[t, l, h], tokens @ self.w.wq[l, h], rtol=0, atol=1e-12)
+
+    def test_frames_own_their_arrays(self):
+        frames = project_kv(synth_chunk(0, 1, CFG, self.space), CFG, self.w)
+        arrays = [a for f in frames for a in (f.k, f.v)]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
+    def test_non_finite_tokens_rejected(self):
+        chunk = synth_chunk(0, 0, CFG, self.space)
+        bad = chunk.frames.copy()
+        bad[1, 2, 3] = np.nan
+        with pytest.raises(ShapeError):
+            type(chunk)(chunk_id=0, frames=bad, topic_label=0)
+
     def test_query_projection_shape(self):
         chunk = synth_chunk(0, 0, CFG, self.space)
         q = project_queries(chunk, CFG, self.w)
