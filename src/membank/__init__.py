@@ -3,23 +3,21 @@ text-conditioned retrieval, first-frame prototypes, a first-chunk sink,
 and relevance-gated sparse activation, plus a deterministic toy model
 and rollout harness for exercising them."""
 
-from .activation import ActivationSet, gated_attention, select_top_k
+from .activation import ActivationSet, select_top_k
 from .engine import Mode, rollout, step_chunk
-from .frames import FrameKV, FrameSink, MemoryBank, bank_append, bank_new, bank_retain
+from .frames import FrameKV, MemoryBank, bank_append, bank_new, bank_retain
 from .metrics import RolloutMetrics, compute_metrics, run_ablation_grid
-from .retrieval import TextQuery, memory_update, retrieve_top, text_relevance_scores
+from .retrieval import TextQuery, memory_update, text_relevance_scores
 from .script import NarrativeScript, Segment, parse_script
 from .toymodel import ModelConfig, TopicSpace, init_weights, make_topic_space
 
 __all__ = [
     "ActivationSet",
-    "gated_attention",
     "select_top_k",
     "Mode",
     "rollout",
     "step_chunk",
     "FrameKV",
-    "FrameSink",
     "MemoryBank",
     "bank_append",
     "bank_new",
@@ -29,7 +27,6 @@ __all__ = [
     "run_ablation_grid",
     "TextQuery",
     "memory_update",
-    "retrieve_top",
     "text_relevance_scores",
     "NarrativeScript",
     "Segment",

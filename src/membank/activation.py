@@ -1,32 +1,24 @@
 """Relevance-gated sparse activation of memory frames.
 
-Each candidate frame is condensed to a single key descriptor (mean over
-its tokens); the current chunk's queries are condensed the same way. The
-inner product of the two descriptors scores each frame, the top-k frames
-are kept, and attention runs over the concatenated KV of the kept frames
-only. Dropped attention mass is not renormalized beyond the softmax over
-the kept keys.
+Each candidate frame is condensed to a per-layer key descriptor
+(`FrameKV.key_descriptor`: its keys pooled over tokens, then heads); the
+current chunk's queries are condensed the same way. The inner product of
+the two descriptors scores each frame, the top-k frames are kept, and the
+engine's attention runs over the KV of the kept frames only. Dropped
+attention mass is not renormalized beyond the softmax over the kept keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, EmptyMemoryError, ShapeError
 from .frames import FrameKV
-from .linalg import mean_pool_rows, sdp_attention
 
-__all__ = [
-    "ActivationSet",
-    "query_descriptor",
-    "frame_descriptors",
-    "relevance",
-    "select_top_k",
-    "gated_attention",
-]
+__all__ = ["ActivationSet", "sma_scores", "select_top_k"]
 
 
 @dataclass(frozen=True)
@@ -37,24 +29,22 @@ class ActivationSet:
     scores: tuple[float, ...]
 
 
-def query_descriptor(q_vis: np.ndarray) -> np.ndarray:
-    """Condense a chunk's queries to one vector by token mean pooling."""
-    return mean_pool_rows(q_vis)
+def sma_scores(queries: np.ndarray, pool: Sequence[FrameKV]) -> np.ndarray:
+    """Relevance [L, len(pool)] of each pool frame to a chunk, per layer.
 
-
-def frame_descriptors(
-    candidates: Sequence[FrameKV], layer: int, head: int
-) -> list[np.ndarray]:
-    """One mean-pooled key descriptor per candidate frame, order kept."""
-    if not candidates:
-        raise EmptyMemoryError("no candidate frames to describe")
-    return [mean_pool_rows(f.keys_at(layer, head)) for f in candidates]
-
-
-def relevance(qd: np.ndarray, kd: np.ndarray) -> float:
-    if qd.shape != kd.shape:
-        raise ShapeError(f"descriptor dims differ: {qd.shape} vs {kd.shape}")
-    return float(qd @ kd)
+    queries is the chunk's [T, L, H, P, d] projection. Its descriptor is
+    the layer's queries pooled over frames and tokens, then heads; one
+    selection per (chunk, layer) is shared by the layer's heads.
+    """
+    if not pool:
+        raise EmptyMemoryError("no candidate frames to score")
+    qd = queries.mean(axis=(0, 3)).mean(axis=1)  # [L, d]
+    kd = np.array([f.key_descriptor for f in pool])  # [pool, L, d]
+    if kd.shape[1:] != qd.shape:
+        raise ShapeError(f"frame descriptors {kd.shape[1:]} do not match queries {qd.shape}")
+    # Row-wise sums, not a BLAS product: equal descriptors (the sink's
+    # first frame is also the bank's first prototype) must tie exactly.
+    return (kd * qd).sum(axis=2).T
 
 
 def select_top_k(scores: Sequence[float], k: int) -> ActivationSet:
@@ -69,34 +59,3 @@ def select_top_k(scores: Sequence[float], k: int) -> ActivationSet:
     ranked = sorted(range(len(scores)), key=lambda i: (-scores[i], -i))
     picked = sorted(ranked[:k])
     return ActivationSet(tuple(picked), tuple(scores[i] for i in picked))
-
-
-def gated_attention(
-    q_vis: np.ndarray,
-    candidates: Sequence[FrameKV],
-    k: int,
-    layer: int,
-    head: int,
-    scale: Optional[float] = None,
-    activation: Optional[ActivationSet] = None,
-) -> tuple[np.ndarray, ActivationSet]:
-    """Attention over the top-k relevant candidate frames only.
-
-    A precomputed activation set (e.g. one shared across the heads of a
-    layer) may be passed in; otherwise selection is scored from this
-    head's descriptors. With k >= len(candidates) this reduces exactly to
-    attention over the full pool in frame order.
-    """
-    if not candidates:
-        raise EmptyMemoryError("no candidate frames to attend over")
-    if activation is None:
-        qd = query_descriptor(q_vis)
-        kds = frame_descriptors(candidates, layer, head)
-        activation = select_top_k([relevance(qd, kd) for kd in kds], k)
-    k_sel = np.concatenate(
-        [candidates[i].keys_at(layer, head) for i in activation.indices], axis=0
-    )
-    v_sel = np.concatenate(
-        [candidates[i].values_at(layer, head) for i in activation.indices], axis=0
-    )
-    return sdp_attention(q_vis, k_sel, v_sel, scale), activation

@@ -39,10 +39,22 @@ SEED_ENV = "MEMBANK_SEED"
 MODE_NAMES = {m.value: m for m in Mode}
 
 
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigError(f"{what} {path} is not UTF-8 JSON: {e}") from e
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass; a JSON true is not a count.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_config(path) -> ModelConfig:
     if path is None:
         return ModelConfig()
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = _read_json(path, "config file")
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
     known = {f.name for f in dataclasses.fields(ModelConfig)}
@@ -50,10 +62,27 @@ def load_config(path) -> ModelConfig:
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     for name, value in doc.items():
-        # bool is an int subclass; a JSON true is not a count.
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise ConfigError(f"config field {name!r} must be an integer, got {value!r}")
     return ModelConfig(**doc)
+
+
+def load_grid(path, cfg: ModelConfig) -> tuple[list[Mode], list[int]]:
+    """Modes and bank capacities of an ablation grid file; each field
+    defaults to its value without a grid."""
+    doc = _read_json(path, "grid file")
+    if not isinstance(doc, dict):
+        raise ConfigError("grid file must hold a JSON object")
+    unknown = set(doc) - {"modes", "b_values"}
+    if unknown:
+        raise ConfigError(f"unknown grid fields: {sorted(unknown)}")
+    names = doc.get("modes", list(MODE_NAMES))
+    if not isinstance(names, list) or not all(isinstance(n, str) and n in MODE_NAMES for n in names):
+        raise ConfigError(f"grid modes must be a list drawn from {list(MODE_NAMES)}, got {names!r}")
+    b_values = doc.get("b_values", [cfg.bank_capacity])
+    if not isinstance(b_values, list) or not all(map(_is_int, b_values)):
+        raise ConfigError(f"grid b_values must be a list of integers, got {b_values!r}")
+    return [MODE_NAMES[n] for n in names], b_values
 
 
 def _check_repeat(repeat: int) -> None:
@@ -64,7 +93,10 @@ def _check_repeat(repeat: int) -> None:
 def _effective_script(script: NarrativeScript, flag_seed) -> NarrativeScript:
     seed = flag_seed
     if seed is None and os.environ.get(SEED_ENV):
-        seed = int(os.environ[SEED_ENV])
+        try:
+            seed = int(os.environ[SEED_ENV])
+        except ValueError:
+            raise ConfigError(f"{SEED_ENV} must be an integer, got {os.environ[SEED_ENV]!r}") from None
     if seed is None:
         return script
     return dataclasses.replace(script, seed=seed)
@@ -94,9 +126,7 @@ def cmd_ablate(args) -> int:
     script = _effective_script(parse_script(args.script), args.seed)
     cfg = load_config(args.config)
     if args.grid:
-        grid = json.loads(Path(args.grid).read_text(encoding="utf-8"))
-        modes = [MODE_NAMES[m] for m in grid.get("modes", [m.value for m in Mode])]
-        b_values = grid.get("b_values", [cfg.bank_capacity])
+        modes, b_values = load_grid(args.grid, cfg)
     else:
         modes = list(Mode)
         b_values = [cfg.bank_capacity]
@@ -198,7 +228,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (MembankError, FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (MembankError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,9 @@ Per chunk the phases run in a fixed order: the incoming prompt retrieves
 and updates the bank first, then the candidate memory pool is assembled
 (mode dependent), then each layer attends over [selected memory] ++
 [local window] ++ [intra-chunk causal] keys, and finally the local window
-rolls forward. The first chunk additionally seeds the write-once sink.
+rolls forward. The first chunk additionally fills the sink. The state is
+an immutable value, so `step_chunk` is a pure function of (state,
+prompt, chunk) and a saved state can be stepped again.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ import enum
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .activation import ActivationSet, select_top_k
-from .errors import ScriptError, ShapeError
-from .frames import FrameKV, FrameSink, MemoryBank, bank_new
+from .activation import ActivationSet, select_top_k, sma_scores
+from .errors import ScriptError
+from .frames import FrameKV, MemoryBank, bank_new
 from .retrieval import TextQuery, memory_update
 from .script import NarrativeScript
 from .toymodel import (
@@ -42,7 +44,6 @@ __all__ = [
     "initial_state",
     "step_chunk",
     "rollout",
-    "full_memory_attention_oracle",
 ]
 
 
@@ -60,7 +61,7 @@ class Mode(enum.Enum):
 @dataclass(frozen=True)
 class RolloutState:
     chunk_counter: int
-    sink: FrameSink
+    sink: MemoryBank  # the first chunk's frames; empty before chunk 0
     bank: MemoryBank
     local_window: tuple[FrameKV, ...]
     prev_chunk: tuple[FrameKV, ...]
@@ -91,7 +92,7 @@ class RolloutRun:
 def initial_state(cfg: ModelConfig, mode: Mode) -> RolloutState:
     return RolloutState(
         chunk_counter=0,
-        sink=FrameSink(),
+        sink=bank_new(cfg.frames_per_chunk),
         bank=bank_new(cfg.bank_capacity),
         local_window=(),
         prev_chunk=(),
@@ -134,13 +135,7 @@ def step_chunk(
     selected: list[tuple[FrameKV, ...]] = [pool] * cfg.layers
     selected_ids: list[list[int]] = [[f.frame_id for f in pool]] * cfg.layers
     if mode is Mode.NAM_SMA and pool:
-        # Query descriptor per layer: queries pooled over frames and tokens,
-        # then heads; one selection per (chunk, layer), shared by its heads.
-        qd = queries.mean(axis=(0, 3)).mean(axis=1)  # [L, d]
-        kd = np.array([f.key_descriptor for f in pool])  # [pool, L, d]
-        # Row-wise sums, not a BLAS product: equal descriptors (the sink's
-        # first frame is also the bank's first prototype) must tie exactly.
-        scores = (kd * qd).sum(axis=2).T  # [L, pool]
+        scores = sma_scores(queries, pool)
         activation_sets = []
         selected = []
         selected_ids = []
@@ -187,8 +182,7 @@ def step_chunk(
         outputs.append(out_l)
     wall["attention"] = time.perf_counter() - t0
 
-    if state.chunk_counter == 0:
-        state.sink.set(frames)
+    sink = replace(state.sink, frames=tuple(frames)) if state.chunk_counter == 0 else state.sink
     new_window = (state.local_window + tuple(frames))[-cfg.local_window :]
 
     result = ChunkResult(
@@ -204,6 +198,7 @@ def step_chunk(
     new_state = replace(
         state,
         chunk_counter=state.chunk_counter + 1,
+        sink=sink,
         bank=bank,
         local_window=new_window,
         prev_chunk=tuple(frames),
@@ -240,47 +235,3 @@ def rollout(
             chunk_id += 1
     elapsed = time.perf_counter() - started
     return RolloutRun(mode=mode, cfg=cfg, script=script, results=results, elapsed_seconds=elapsed)
-
-
-def full_memory_attention_oracle(
-    q_vis,
-    pool: Sequence[FrameKV],
-    local: Sequence[FrameKV],
-    layer: int,
-    head: int,
-    scale: float,
-) -> list[list[float]]:
-    """Unrestricted attention over pool ++ local, scalar loops only.
-
-    Independent of the numpy kernels; used to cross-check the gated path.
-    """
-    keys: list[list[float]] = []
-    vals: list[list[float]] = []
-    for f in list(pool) + list(local):
-        km = f.keys_at(layer, head)
-        vm = f.values_at(layer, head)
-        for r in range(km.shape[0]):
-            keys.append([float(x) for x in km[r]])
-            vals.append([float(x) for x in vm[r]])
-    q = [[float(x) for x in row] for row in np.asarray(q_vis)]
-    if not keys:
-        raise ShapeError("oracle needs at least one key")
-    dim_v = len(vals[0])
-    out = []
-    for qrow in q:
-        logits = []
-        for krow in keys:
-            s = 0.0
-            for a, b in zip(qrow, krow):
-                s += a * b
-            logits.append(s * scale)
-        m = max(logits)
-        exps = [math.exp(x - m) for x in logits]
-        z = sum(exps)
-        row = [0.0] * dim_v
-        for w, vrow in zip(exps, vals):
-            p = w / z
-            for j in range(dim_v):
-                row[j] += p * vrow[j]
-        out.append(row)
-    return out

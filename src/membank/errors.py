@@ -21,10 +21,6 @@ class EmptyMemoryError(MembankError):
     """An operation that needs at least one stored frame got none."""
 
 
-class SinkAlreadySetError(MembankError):
-    """The frame sink is write-once; a second set was attempted."""
-
-
 class ScriptError(MembankError):
     """A narrative script file failed parsing or schema validation."""
 

@@ -1,9 +1,9 @@
-"""Frame-level KV storage: single frames, the capacity-bounded bank, and
-the write-once sink holding the first generated chunk.
+"""Frame-level KV storage: single frames and the capacity-bounded bank.
 
 A frame stores its key/value projections for every (layer, head) as two
 arrays of shape [L, H, P, d]. Banks are immutable snapshots; updates
-return new banks.
+return new banks. The rollout's frame sink is a bank too, sized to one
+chunk and filled once.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, EmptyMemoryError, ShapeError, SinkAlreadySetError
+from .errors import CapacityError, ConfigError, ShapeError
 
-__all__ = ["FrameKV", "MemoryBank", "FrameSink", "bank_new", "bank_retain", "bank_append"]
+__all__ = ["FrameKV", "MemoryBank", "bank_new", "bank_retain", "bank_append"]
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,8 @@ class FrameKV:
             raise ShapeError("frame k/v must be [L, H, P, d] arrays")
         if self.k.shape != self.v.shape:
             raise ShapeError(f"k shape {self.k.shape} != v shape {self.v.shape}")
+        if self.k.shape[2] == 0:
+            raise ShapeError("a frame needs at least one token")
         self.k.setflags(write=False)
         self.v.setflags(write=False)
 
@@ -50,12 +52,6 @@ class FrameKV:
         desc = self.k.mean(axis=2).mean(axis=1)
         desc.setflags(write=False)
         return desc
-
-    def keys_at(self, layer: int, head: int) -> np.ndarray:
-        return self.k[layer, head]
-
-    def values_at(self, layer: int, head: int) -> np.ndarray:
-        return self.v[layer, head]
 
 
 @dataclass(frozen=True)
@@ -101,25 +97,3 @@ def bank_append(bank: MemoryBank, frame: FrameKV) -> MemoryBank:
         )
     return replace(bank, frames=bank.frames + (frame,))
 
-
-class FrameSink:
-    """Write-once holder for the first chunk's frames."""
-
-    def __init__(self):
-        self._frames: Optional[tuple[FrameKV, ...]] = None
-
-    @property
-    def is_set(self) -> bool:
-        return self._frames is not None
-
-    @property
-    def frames(self) -> tuple[FrameKV, ...]:
-        return self._frames if self._frames is not None else ()
-
-    def set(self, chunk_frames: Sequence[FrameKV]) -> "FrameSink":
-        if self._frames is not None:
-            raise SinkAlreadySetError("frame sink is write-once")
-        if not chunk_frames:
-            raise EmptyMemoryError("frame sink needs at least one frame")
-        self._frames = tuple(chunk_frames)
-        return self

@@ -1,16 +1,19 @@
-"""Independent brute-force oracles used by the tests.
+"""Independent brute-force oracles, used by the tests and by `verify`.
 
-Everything here is scalar-loop pure Python (no vectorized numpy), so the
-oracles share no code path with the implementations they check.
+The arithmetic here is scalar-loop pure Python (numpy only gathers rows),
+so the oracles share no code path with the implementations they check.
 """
 
+from __future__ import annotations
+
 import itertools
-from fractions import Fraction
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from membank.frames import FrameKV
+from .errors import ShapeError
+from .frames import FrameKV
 
 
 def sdp_attention_loop(q, k, v, scale):
@@ -18,6 +21,9 @@ def sdp_attention_loop(q, k, v, scale):
     q = [[float(x) for x in row] for row in np.asarray(q)]
     k = [[float(x) for x in row] for row in np.asarray(k)]
     v = [[float(x) for x in row] for row in np.asarray(v)]
+    # zip would silently truncate mismatched rows.
+    if not k or len(k) != len(v) or any(len(row) != len(k[0]) for row in q + k):
+        raise ShapeError("need keys, one value per key and equal query/key dims")
     out = []
     for qrow in q:
         logits = []
@@ -37,6 +43,16 @@ def sdp_attention_loop(q, k, v, scale):
     return out
 
 
+def full_memory_attention_oracle(q_vis, pool, local, layer, head, scale):
+    """Unrestricted attention of one (layer, head) over pool ++ local."""
+    frames = list(pool) + list(local)
+    if not frames:
+        raise ShapeError("oracle needs at least one key")
+    k = np.concatenate([f.k[layer, head] for f in frames])
+    v = np.concatenate([f.v[layer, head] for f in frames])
+    return sdp_attention_loop(q_vis, k, v, scale)
+
+
 def relevance_scores_loop(query, bank):
     """Scalar-loop version of the text-to-bank relevance scoring: one
     joint softmax over every bank token per (layer, head), weights
@@ -49,7 +65,7 @@ def relevance_scores_loop(query, bank):
             logits = []
             owner = []
             for i, f in enumerate(bank.frames):
-                km = f.keys_at(l, h)
+                km = f.k[l, h]
                 for r in range(km.shape[0]):
                     s = 0.0
                     for c in range(d):
@@ -113,6 +129,7 @@ def best_subset(scores, k):
 
 
 def random_frames(rng, count, layers=2, heads=2, tokens=4, dim=8, start_id=0, topic=None):
+    """count frames of standard-normal K/V with consecutive frame ids."""
     out = []
     for i in range(count):
         out.append(

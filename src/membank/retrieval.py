@@ -19,13 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .activation import select_top_k
 from .errors import EmptyMemoryError, ShapeError
 from .frames import FrameKV, MemoryBank, bank_append, bank_retain
 
 __all__ = [
     "TextQuery",
     "text_relevance_scores",
-    "retrieve_top",
     "chunk_prototype",
     "memory_update",
 ]
@@ -69,15 +69,6 @@ def text_relevance_scores(query: TextQuery, bank: MemoryBank) -> np.ndarray:
     return per_frame.sum(axis=(0, 1)) / (layers * heads)
 
 
-def retrieve_top(scores: Sequence[float], r: int) -> list[int]:
-    """Indices of the r largest scores, ascending; ties favor recency."""
-    scores = list(scores)
-    if r > len(scores):
-        raise IndexError(f"cannot retrieve {r} of {len(scores)} frames")
-    ranked = sorted(range(len(scores)), key=lambda i: (-scores[i], -i))
-    return sorted(ranked[:r])
-
-
 def chunk_prototype(chunk_frames: Sequence[FrameKV]) -> FrameKV:
     """Single-frame representative of a chunk: its first frame, unchanged."""
     if not chunk_frames:
@@ -91,15 +82,15 @@ def memory_update(
     """Retain the most relevant frames, then append the previous chunk's
     prototype.
 
-    Returns the new bank and the retained frame_ids (oracle bookkeeping).
-    The prototype is always the last element; the result never exceeds
-    capacity.
+    Retention is SMA's top-k rule (ties favor the later frame); a bank of
+    capacity 1 retains nothing. Returns the new bank and the retained
+    frame_ids (oracle bookkeeping). The prototype is always the last
+    element; the result never exceeds capacity.
     """
     proto = chunk_prototype(prev_chunk)
     if len(bank) == 0:
         return bank_append(bank, proto), []
     keep = min(bank.capacity - 1, len(bank))
     scores = text_relevance_scores(query, bank)
-    retained = retrieve_top(scores, keep)
-    trimmed = bank_retain(bank, retained)
-    return bank_append(trimmed, proto), [trimmed.frames[i].frame_id for i in range(len(trimmed))]
+    trimmed = bank_retain(bank, select_top_k(scores, keep).indices if keep else ())
+    return bank_append(trimmed, proto), [f.frame_id for f in trimmed.frames]

@@ -85,9 +85,10 @@ def script_from_dict(doc: dict) -> NarrativeScript:
 
 
 def parse_script(path) -> NarrativeScript:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ScriptError(f"{path}: not UTF-8 text: {e.reason}") from e
     except json.JSONDecodeError as e:
         raise ScriptError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     try:

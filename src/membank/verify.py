@@ -7,43 +7,44 @@ path. These are quick smoke versions of the full test suite.
 
 from __future__ import annotations
 
-import itertools
-import math
+from dataclasses import replace
 
 import numpy as np
 
-from .activation import gated_attention, select_top_k
-from .engine import Mode, full_memory_attention_oracle, rollout
-from .frames import FrameKV, bank_new, bank_append
+from .activation import select_top_k
+from .engine import Mode, rollout
+from .frames import bank_append, bank_new
 from .metrics import determinism_hash
+from .oracles import best_subset, random_frames
 from .retrieval import TextQuery, memory_update, text_relevance_scores
 from .script import NarrativeScript, Segment
 from .toymodel import ModelConfig
 
-__all__ = ["run_all_checks"]
+__all__ = ["run_all_checks", "sma_full_pool_identity"]
 
 
-def _random_frames(rng, count, layers=2, heads=2, tokens=4, dim=8, start_id=0):
-    out = []
-    for i in range(count):
-        k = rng.standard_normal((layers, heads, tokens, dim))
-        v = rng.standard_normal((layers, heads, tokens, dim))
-        out.append(FrameKV(frame_id=start_id + i, chunk_id=(start_id + i) // 3, k=k, v=v))
-    return out
+def sma_full_pool_identity(script: NarrativeScript, cfg: ModelConfig) -> bool:
+    """With sma_k covering the whole bank+sink pool, `nam_sma` selects
+    every pool frame in order and its attention outputs equal `nam_full`'s
+    bit for bit."""
+    cfg = replace(cfg, sma_k=cfg.bank_capacity + cfg.frames_per_chunk)
+    sma = rollout(script, cfg, Mode.NAM_SMA)
+    full = rollout(script, cfg, Mode.NAM_FULL)
+    for a, b in zip(sma.results, full.results):
+        pool = len(b.selected_frame_ids[0])
+        want = [tuple(range(pool)) if pool else None] * cfg.layers
+        if [None if act is None else act.indices for act in a.activation_sets] != want:
+            return False
+        if not all(map(np.array_equal, a.attention_outputs, b.attention_outputs)):
+            return False
+    return True
 
 
 def check_gated_full_identity() -> bool:
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        frames = _random_frames(rng, int(rng.integers(1, 6)))
-        q = rng.standard_normal((5, 8))
-        gated, act = gated_attention(q, frames, k=len(frames), layer=0, head=1)
-        full = full_memory_attention_oracle(q, frames, [], layer=0, head=1, scale=1 / math.sqrt(8))
-        if not np.allclose(gated, np.array(full), rtol=1e-9, atol=1e-12):
-            return False
-        if list(act.indices) != list(range(len(frames))):
-            return False
-    return True
+    script = NarrativeScript(
+        seed=11, segments=(Segment("a river at dawn", 0, 3), Segment("a market street", 1, 3))
+    )
+    return all(sma_full_pool_identity(script, ModelConfig(bank_capacity=b)) for b in (1, 3))
 
 
 def check_topk_optimality() -> bool:
@@ -52,12 +53,7 @@ def check_topk_optimality() -> bool:
         n = int(rng.integers(1, 9))
         scores = np.round(rng.standard_normal(n), 2).tolist()
         for k in range(1, n + 1):
-            got = select_top_k(scores, k).indices
-            best = max(
-                itertools.combinations(range(n), k),
-                key=lambda idx: (sum(scores[i] for i in idx), idx),
-            )
-            if tuple(got) != best:
+            if select_top_k(scores, k).indices != best_subset(scores, k):
                 return False
     return True
 
@@ -66,7 +62,7 @@ def check_relevance_normalization() -> bool:
     rng = np.random.default_rng(13)
     tokens = 4
     for _ in range(20):
-        frames = _random_frames(rng, int(rng.integers(1, 6)), tokens=tokens)
+        frames = random_frames(rng, int(rng.integers(1, 6)), tokens=tokens)
         bank = bank_new(8)
         for f in frames:
             bank = bank_append(bank, f)
@@ -82,7 +78,7 @@ def check_capacity_invariant() -> bool:
     bank = bank_new(3)
     q = TextQuery(rng.standard_normal((2, 2, 8)))
     for step in range(50):
-        chunk = _random_frames(rng, 3, start_id=step * 3)
+        chunk = random_frames(rng, 3, start_id=step * 3)
         bank, _ = memory_update(bank, q, chunk)
         if len(bank) > 3 or bank.frames[-1].frame_id != chunk[0].frame_id:
             return False

@@ -1,79 +1,118 @@
+"""Sparse memory activation as the engine runs it: frame key descriptors,
+`sma_scores`, `select_top_k`, and `step_chunk` in `nam_sma` against
+`nam_full`."""
+
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from membank.activation import (
-    frame_descriptors,
-    gated_attention,
-    query_descriptor,
-    relevance,
-    select_top_k,
-)
+from membank.activation import select_top_k, sma_scores
+from membank.engine import Mode, initial_state, step_chunk
 from membank.errors import ConfigError, EmptyMemoryError, ShapeError
-from membank.linalg import sdp_attention
-from oracles import best_subset, random_frames, sdp_attention_loop
+from membank.frames import FrameKV, MemoryBank
+from membank.oracles import best_subset, random_frames, sma_scores_loop
+from membank.retrieval import TextQuery
+from membank.toymodel import (
+    ModelConfig,
+    init_weights,
+    make_topic_space,
+    project_kv,
+    project_queries,
+    synth_chunk,
+)
+
+
+def frame(k, frame_id=0):
+    k = np.asarray(k, dtype=np.float64)
+    return FrameKV(frame_id, 0, k=k, v=np.zeros_like(k))
+
+
+def constant_frame(row, shape=(2, 2, 3)):
+    """A frame whose keys equal row at every (layer, head, token)."""
+    return frame(np.broadcast_to(row, shape + (len(row),)))
+
+
+def constant_queries(row, shape=(2, 2, 2, 3)):
+    """[T, L, H, P, d] queries equal to row at every position."""
+    return np.broadcast_to(np.asarray(row, dtype=np.float64), shape + (len(row),))
 
 
 class TestDescriptors:
     def test_constant_rows(self):
         row = [3.0, -1.0]
-        assert query_descriptor([row, row, row]).tolist() == row
+        assert constant_frame(row).key_descriptor.tolist() == [row, row]
 
     def test_single_token(self):
-        assert query_descriptor([[1.0, 2.0]]).tolist() == [1.0, 2.0]
+        # one token per head: the descriptor is the mean over heads
+        f = frame([[[[1.0, 2.0]], [[3.0, 4.0]]]])
+        assert f.key_descriptor.tolist() == [[2.0, 3.0]]
 
     def test_small_case(self):
-        assert query_descriptor([[2, 0], [0, 2]]).tolist() == [1.0, 1.0]
+        k = [[[[2, 0], [0, 2]]], [[[1, 3], [5, 7]]]]  # [L=2, H=1, P=2, d=2]
+        assert frame(k).key_descriptor.tolist() == [[1.0, 1.0], [3.0, 5.0]]
 
-    def test_frame_descriptor_constant_keys(self, rng):
-        f = random_frames(rng, 1)[0]
+    def test_frame_descriptor_constant_keys(self):
         k = np.broadcast_to(np.arange(8.0), (2, 2, 4, 8)).copy()
-        from membank.frames import FrameKV
-
-        f = FrameKV(0, 0, k=k, v=np.zeros_like(k))
-        (d,) = frame_descriptors([f], layer=1, head=0)
-        assert d.tolist() == list(range(8))
+        assert frame(k).key_descriptor[1].tolist() == list(range(8))
 
     def test_order_preserved(self, rng):
-        frames = random_frames(rng, 2)
-        ds = frame_descriptors(frames, 0, 0)
-        assert len(ds) == 2
-        assert np.allclose(ds[0], frames[0].keys_at(0, 0).mean(axis=0))
+        pool = random_frames(rng, 3)
+        queries = rng.standard_normal((2, 2, 2, 4, 8))
+        got = sma_scores(queries, pool)
+        assert got.shape == (2, 3)
+        for l in range(2):
+            assert np.allclose(got[l], sma_scores_loop(queries, pool, l), rtol=1e-12, atol=1e-15)
 
     def test_permutation_equivariant(self, rng):
-        frames = random_frames(rng, 3)
-        fwd = frame_descriptors(frames, 0, 1)
-        rev = frame_descriptors(frames[::-1], 0, 1)
-        for a, b in zip(fwd, rev[::-1]):
-            assert np.array_equal(a, b)
+        pool = random_frames(rng, 3)
+        queries = rng.standard_normal((2, 2, 2, 4, 8))
+        fwd = sma_scores(queries, pool)
+        rev = sma_scores(queries, pool[::-1])
+        assert np.array_equal(fwd, rev[:, ::-1])
 
-    def test_empty_errors(self):
+    def test_empty_errors(self, rng):
         with pytest.raises(EmptyMemoryError):
-            frame_descriptors([], 0, 0)
+            sma_scores(rng.standard_normal((2, 2, 2, 4, 8)), [])
+
+    def test_read_only(self, rng):
+        (f,) = random_frames(rng, 1)
+        with pytest.raises(ValueError):
+            f.key_descriptor[0, 0] = 1.0
+
+    def test_cached(self, rng):
+        (f,) = random_frames(rng, 1)
+        assert f.key_descriptor is f.key_descriptor
 
 
 class TestRelevance:
+    """SMA relevance is the inner product of the query and key descriptors."""
+
     def test_orthogonal(self):
-        assert relevance(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
+        scores = sma_scores(constant_queries([1.0, 0.0]), [constant_frame([0.0, 2.0])])
+        assert scores.tolist() == [[0.0], [0.0]]
 
     def test_unit(self):
-        v = np.array([1.0, 0.0])
-        assert relevance(v, v) == 1.0
+        v = [1.0, 0.0]
+        assert sma_scores(constant_queries(v), [constant_frame(v)]).tolist() == [[1.0], [1.0]]
 
     def test_small_case(self):
-        assert relevance(np.array([1.0, 0.0]), np.array([0.5, 2.0])) == 0.5
+        scores = sma_scores(constant_queries([1.0, 0.0]), [constant_frame([0.5, 2.0])])
+        assert scores.tolist() == [[0.5], [0.5]]
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            relevance(np.zeros(2), np.zeros(3))
+            sma_scores(constant_queries([1.0, 0.0]), [constant_frame([1.0, 1.0, 1.0])])
 
     def test_scale_equivariance(self, rng):
-        qd = rng.standard_normal(6)
-        kd = rng.standard_normal(6)
-        assert math.isclose(relevance(qd, 3.5 * kd), 3.5 * relevance(qd, kd), rel_tol=1e-12)
+        pool = random_frames(rng, 3)
+        queries = rng.standard_normal((2, 2, 2, 4, 8))
+        scaled = [FrameKV(f.frame_id, f.chunk_id, 3.5 * f.k, f.v) for f in pool]
+        got, want = sma_scores(queries, scaled), 3.5 * sma_scores(queries, pool)
+        assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(got.flat, want.flat))
 
 
 class TestSelectTopK:
@@ -105,78 +144,101 @@ class TestSelectTopK:
         assert select_top_k(scores, k).indices == best_subset(scores, k)
 
 
+CFG = ModelConfig(seed=4)
+
+
+def toy_chunk(cfg, topic=0, chunk_id=9, amp=1.0):
+    """A planted-topic chunk with its tokens scaled by amp, and the weights."""
+    space = make_topic_space(4, cfg, 0.02)
+    chunk = synth_chunk(topic, chunk_id, cfg, space)
+    return type(chunk)(chunk_id, chunk.frames * amp, topic), init_weights(cfg)
+
+
+def step_from_bank(mode, cfg, bank_frames, chunk, w):
+    """One engine step from a state whose bank holds bank_frames, with an
+    empty sink and window and no previous chunk, so the bank is not
+    updated and the prompt is unused."""
+    state = replace(initial_state(cfg, mode), bank=MemoryBank(len(bank_frames), tuple(bank_frames)))
+    prompt = TextQuery(np.zeros((cfg.layers, cfg.heads, cfg.head_dim)))
+    return step_chunk(state, prompt, chunk, cfg, w)[1]
+
+
+def random_bank(rng, count, cfg=CFG):
+    return random_frames(
+        rng, count, layers=cfg.layers, heads=cfg.heads, tokens=cfg.tokens_per_frame, dim=cfg.head_dim
+    )
+
+
 class TestGatedAttention:
+    """The engine's SMA path: selection on the pool, then attention over
+    the selected frames, the window and the causal prefix."""
+
     def test_k_full_pool_identity(self, rng):
-        frames = random_frames(rng, 4)
-        q = rng.standard_normal((5, 8))
-        gated, act = gated_attention(q, frames, k=4, layer=1, head=0)
-        k_cat = np.concatenate([f.keys_at(1, 0) for f in frames])
-        v_cat = np.concatenate([f.values_at(1, 0) for f in frames])
-        full = sdp_attention(q, k_cat, v_cat)
-        assert np.array_equal(gated, full)
-        assert act.indices == (0, 1, 2, 3)
+        cfg = replace(CFG, sma_k=4)
+        bank = random_bank(rng, 4)
+        chunk, w = toy_chunk(cfg)
+        sma = step_from_bank(Mode.NAM_SMA, cfg, bank, chunk, w)
+        full = step_from_bank(Mode.NAM_FULL, cfg, bank, chunk, w)
+        assert all(map(np.array_equal, sma.attention_outputs, full.attention_outputs))
+        assert [act.indices for act in sma.activation_sets] == [(0, 1, 2, 3)] * cfg.layers
 
     def test_single_candidate(self, rng):
-        (f,) = random_frames(rng, 1)
-        q = rng.standard_normal((3, 8))
-        gated, _ = gated_attention(q, [f], k=1, layer=0, head=1)
-        assert np.array_equal(gated, sdp_attention(q, f.keys_at(0, 1), f.values_at(0, 1)))
+        cfg = replace(CFG, sma_k=1)
+        bank = random_bank(rng, 1)
+        chunk, w = toy_chunk(cfg)
+        sma = step_from_bank(Mode.NAM_SMA, cfg, bank, chunk, w)
+        full = step_from_bank(Mode.NAM_FULL, cfg, bank, chunk, w)
+        assert all(map(np.array_equal, sma.attention_outputs, full.attention_outputs))
+        assert [act.indices for act in sma.activation_sets] == [(0,)] * cfg.layers
 
-    def test_planted_selection_matches_full(self, rng):
-        # one frame far along the query direction dominates attention,
-        # so restricting to it barely changes the output
-        from membank.frames import FrameKV
-
-        q = np.zeros((4, 8))
-        q[:, 0] = 10.0
-        frames = []
-        for i in range(3):
-            k = np.zeros((2, 2, 4, 8))
-            k[:, :, :, 0 if i == 1 else 3] = 10.0 if i == 1 else 1.0
-            v = rng.standard_normal((2, 2, 4, 8))
-            frames.append(FrameKV(i, 0, k=k, v=v))
-        gated, act = gated_attention(q, frames, k=1, layer=0, head=0)
-        full = np.array(
-            sdp_attention_loop(
-                q,
-                np.concatenate([f.keys_at(0, 0) for f in frames]),
-                np.concatenate([f.values_at(0, 0) for f in frames]),
-                1 / math.sqrt(8),
-            )
-        )
-        assert act.indices == (1,)
-        assert np.linalg.norm(gated - full) / np.linalg.norm(full) < 1e-6
+    def test_planted_selection_matches_full(self):
+        # frame 1 shares the chunk's topic and, at this token amplitude,
+        # takes nearly all attention, so restricting memory to it barely
+        # changes the output
+        cfg = replace(CFG, sma_k=1)
+        bank = []
+        for i, topic in enumerate((2, 0, 3)):
+            chunk, w = toy_chunk(cfg, topic, chunk_id=i, amp=16.0)
+            bank.append(project_kv(chunk, cfg, w)[0])
+        chunk, w = toy_chunk(cfg, 0, amp=16.0)
+        sma = step_from_bank(Mode.NAM_SMA, cfg, bank, chunk, w)
+        full = step_from_bank(Mode.NAM_FULL, cfg, bank, chunk, w)
+        assert [act.indices for act in sma.activation_sets] == [(1,)] * cfg.layers
+        got, want = sma.attention_outputs[0][0, 0], full.attention_outputs[0][0, 0]
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-6
 
     def test_output_within_selected_value_range(self, rng):
-        frames = random_frames(rng, 5)
-        q = rng.standard_normal((6, 8))
-        gated, act = gated_attention(q, frames, k=2, layer=1, head=1)
-        v_sel = np.concatenate([frames[i].values_at(1, 1) for i in act.indices])
-        lo, hi = v_sel.min(axis=0), v_sel.max(axis=0)
-        assert np.all(gated >= lo - 1e-12) and np.all(gated <= hi + 1e-12)
+        cfg = replace(CFG, sma_k=2)
+        bank = random_bank(rng, 5)
+        chunk, w = toy_chunk(cfg)
+        res = step_from_bank(Mode.NAM_SMA, cfg, bank, chunk, w)
+        new = project_kv(chunk, cfg, w)
+        for l, act in enumerate(res.activation_sets):
+            for i in range(cfg.frames_per_chunk):
+                attended = [bank[j] for j in act.indices] + new[: i + 1]
+                for h in range(cfg.heads):
+                    v = np.concatenate([f.v[l, h] for f in attended])
+                    out = res.attention_outputs[l][i, h]
+                    assert np.all(out >= v.min(axis=0) - 1e-12) and np.all(out <= v.max(axis=0) + 1e-12)
 
     def test_descriptor_scaling_keeps_selection(self, rng):
-        from membank.frames import FrameKV
-
-        frames = random_frames(rng, 4)
-        q = rng.standard_normal((3, 8))
-        _, act = gated_attention(q, frames, k=2, layer=0, head=0)
-        scaled = [FrameKV(f.frame_id, f.chunk_id, 2.0 * f.k, f.v) for f in frames]
-        _, act2 = gated_attention(q, scaled, k=2, layer=0, head=0)
-        assert act.indices == act2.indices
+        cfg = replace(CFG, sma_k=2)
+        bank = random_bank(rng, 4)
+        scaled = [FrameKV(f.frame_id, f.chunk_id, 2.0 * f.k, f.v) for f in bank]
+        chunk, w = toy_chunk(cfg)
+        a = step_from_bank(Mode.NAM_SMA, cfg, bank, chunk, w)
+        b = step_from_bank(Mode.NAM_SMA, cfg, scaled, chunk, w)
+        assert [x.indices for x in a.activation_sets] == [x.indices for x in b.activation_sets]
 
     def test_precomputed_activation_respected(self, rng):
-        frames = random_frames(rng, 3)
-        q = rng.standard_normal((2, 8))
-        from membank.activation import ActivationSet
-
-        forced = ActivationSet((0,), (0.0,))
-        out, act = gated_attention(q, frames, k=2, layer=0, head=0, activation=forced)
-        assert act is forced
-        assert np.array_equal(
-            out, sdp_attention(q, frames[0].keys_at(0, 0), frames[0].values_at(0, 0))
-        )
-
-    def test_empty_candidates_error(self, rng):
-        with pytest.raises(EmptyMemoryError):
-            gated_attention(rng.standard_normal((2, 8)), [], 1, 0, 0)
+        # each layer attends exactly its selected frames: full memory over
+        # a bank of just those frames gives the same bits
+        cfg = replace(CFG, sma_k=2)
+        bank = random_bank(rng, 5)
+        chunk, w = toy_chunk(cfg)
+        sma = step_from_bank(Mode.NAM_SMA, cfg, bank, chunk, w)
+        queries = project_queries(chunk, cfg, w)
+        for l, act in enumerate(sma.activation_sets):
+            assert act == select_top_k(sma_scores(queries, bank)[l], cfg.sma_k)
+            full = step_from_bank(Mode.NAM_FULL, cfg, [bank[j] for j in act.indices], chunk, w)
+            assert np.array_equal(sma.attention_outputs[l], full.attention_outputs[l])

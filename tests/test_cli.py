@@ -125,3 +125,56 @@ def test_repeat_below_one_rejected(script_path, capsys, command, repeat):
     assert main([command, "--script", script_path, "--repeat", repeat]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--repeat" in err and err.count("\n") == 1
+
+
+def assert_one_error_line(rc, capsys, *words):
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert all(w in err for w in words)
+
+
+@pytest.mark.parametrize(
+    "grid, word",
+    [
+        ([["nam_full"], [3]], "object"),
+        ({"b_values": "3"}, "b_values"),
+        ({"b_values": [2.5]}, "b_values"),
+        ({"modes": ["bogus"]}, "bogus"),
+        ({"modes": [["nam_full"]]}, "modes"),
+        ({"mode": ["nam_full"]}, "mode"),
+    ],
+    ids=["list", "b_values_string", "b_values_float", "unknown_mode", "unhashable_mode", "unknown_field"],
+)
+def test_ablate_bad_grid_rejected(script_path, tmp_path, capsys, grid, word):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    rc = main(["ablate", "--script", script_path, "--grid", str(path)])
+    assert_one_error_line(rc, capsys, word)
+
+
+def test_run_script_directory_rejected(tmp_path, capsys):
+    rc = main(["run", "--script", str(tmp_path)])
+    assert_one_error_line(rc, capsys, str(tmp_path))
+
+
+def test_run_script_not_utf8_rejected(tmp_path, capsys):
+    p = tmp_path / "bin.json"
+    p.write_bytes(b"\xff\xfe")
+    assert_one_error_line(main(["run", "--script", str(p)]), capsys, "UTF-8")
+
+
+def test_bad_seed_env_names_variable(script_path, monkeypatch, capsys):
+    monkeypatch.setenv("MEMBANK_SEED", "abc")
+    assert_one_error_line(main(["run", "--script", script_path]), capsys, "MEMBANK_SEED", "abc")
+
+
+def test_programming_error_propagates(script_path, monkeypatch):
+    import membank.cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("bug inside the engine")
+
+    monkeypatch.setattr(membank.cli, "rollout", broken)
+    with pytest.raises(ValueError, match="bug inside the engine"):
+        main(["run", "--script", script_path])

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from membank.activation import select_top_k
-from membank.engine import (
-    Mode,
-    full_memory_attention_oracle,
-    initial_state,
-    rollout,
-    step_chunk,
-)
+from membank.engine import Mode, initial_state, rollout, step_chunk
 from membank.errors import ScriptError
 from membank.metrics import chunk_digest
+from membank.oracles import full_memory_attention_oracle, random_frames, sdp_attention_loop, sma_scores_loop
 from membank.script import NarrativeScript, Segment
 from membank.toymodel import (
     ModelConfig,
@@ -23,7 +18,6 @@ from membank.toymodel import (
     project_queries,
     synth_chunk,
 )
-from oracles import random_frames, sdp_attention_loop, sma_scores_loop
 
 CFG = ModelConfig(seed=3)
 
@@ -56,10 +50,7 @@ ODD_CFG = ModelConfig(
 
 def record_steps(mode, cfg, topics=(0, 0, 1, 1, 0)):
     """Step one chunk per entry of topics (the prompt follows the topic)
-    and record (pre_state, pre_sink, chunk, state, result) per chunk.
-
-    step_chunk sets the sink on chunk 0, so the pre-step sink is
-    snapshotted before each step."""
+    and record (pre_state, chunk, state, result) per chunk."""
     space = make_topic_space(2, cfg, 0.05)
     w = init_weights(cfg)
     state = initial_state(cfg, mode)
@@ -67,9 +58,9 @@ def record_steps(mode, cfg, topics=(0, 0, 1, 1, 0)):
     for c, topic in enumerate(topics):
         prompt = encode_prompt(f"prompt about topic {topic}", topic, cfg, space, w)
         chunk = synth_chunk(topic, c, cfg, space)
-        pre_state, pre_sink = state, state.sink.frames
+        pre_state = state
         state, res = step_chunk(state, prompt, chunk, cfg, w)
-        steps.append((pre_state, pre_sink, chunk, state, res))
+        steps.append((pre_state, chunk, state, res))
     return w, steps
 
 
@@ -83,13 +74,13 @@ class TestEngineAgainstOracle:
         T, d = cfg.frames_per_chunk, cfg.head_dim
         scale = 1.0 / math.sqrt(d)
         w, steps = record_steps(mode, cfg)
-        for pre_state, pre_sink, chunk, state, res in steps:
+        for pre_state, chunk, state, res in steps:
             if mode is Mode.NO_MEMORY:
                 pool = ()
             elif mode is Mode.FRAME_SINK:
-                pool = pre_sink
+                pool = pre_state.sink.frames
             else:
-                pool = pre_sink + state.bank.frames
+                pool = pre_state.sink.frames + state.bank.frames
             by_id = {f.frame_id: f for f in pool}
             frames = project_kv(chunk, cfg, w)
             queries = project_queries(chunk, cfg, w)
@@ -116,8 +107,8 @@ class TestSmaSelection:
     def test_selection_matches_descriptor_oracle(self, cfg):
         w, steps = record_steps(Mode.NAM_SMA, cfg, topics=(0, 1, 0, 1, 1, 0, 0))
         checked = 0
-        for _, pre_sink, chunk, state, res in steps:
-            pool = pre_sink + state.bank.frames
+        for pre_state, chunk, state, res in steps:
+            pool = pre_state.sink.frames + state.bank.frames
             if not pool:
                 assert res.activation_sets == [None] * cfg.layers
                 continue
@@ -140,9 +131,9 @@ class TestStepChunk:
             assert res.selected_frame_ids == [[] for _ in range(CFG.layers)]
 
     def test_sink_set_after_first_chunk(self):
+        assert len(initial_state(CFG, Mode.FRAME_SINK).sink) == 0
         state, _ = run_steps(Mode.FRAME_SINK, 1)
-        assert state.sink.is_set
-        assert len(state.sink.frames) == CFG.frames_per_chunk
+        assert [f.frame_id for f in state.sink.frames] == list(range(CFG.frames_per_chunk))
 
     def test_sma_selects_exactly_k_after_saturation(self):
         _, results = run_steps(Mode.NAM_SMA, 6)
@@ -238,25 +229,28 @@ class TestRollout:
 
 
 class TestFullMemoryOracle:
-    def test_matches_gated_attention_full_k(self, rng):
-        from membank.activation import gated_attention
-
-        frames = random_frames(rng, 3)
-        q = rng.standard_normal((4, 8))
-        gated, _ = gated_attention(q, frames, k=3, layer=0, head=0)
-        want = full_memory_attention_oracle(q, frames, [], 0, 0, 1 / math.sqrt(8))
-        assert np.allclose(gated, np.array(want), rtol=1e-9, atol=1e-12)
+    def test_matches_engine_sma_full_k(self):
+        # nam_sma with k covering bank + sink, at chunk 2 (both in the pool)
+        cfg = ModelConfig(seed=3, sma_k=6)
+        w, steps = record_steps(Mode.NAM_SMA, cfg, topics=(0, 1, 0))
+        pre_state, chunk, state, res = steps[-1]
+        pool = pre_state.sink.frames + state.bank.frames
+        assert res.activation_sets[1].indices == tuple(range(len(pool)))
+        q = project_queries(chunk, cfg, w)[0, 1, 0]
+        local = pre_state.local_window + tuple(project_kv(chunk, cfg, w)[:1])
+        want = full_memory_attention_oracle(q, pool, local, 1, 0, 1 / math.sqrt(cfg.head_dim))
+        assert np.allclose(res.attention_outputs[1][0, 0], np.array(want), rtol=1e-9, atol=1e-12)
 
     def test_matches_sdp_on_concatenated_pool(self, rng):
-        from membank.linalg import sdp_attention
-
         pool = random_frames(rng, 2)
         local = random_frames(rng, 2, start_id=2)
         q = rng.standard_normal((3, 8))
-        k_cat = np.concatenate([f.keys_at(1, 1) for f in pool + local])
-        v_cat = np.concatenate([f.values_at(1, 1) for f in pool + local])
+        k_cat = np.concatenate([f.k[1, 1] for f in pool + local])
+        v_cat = np.concatenate([f.v[1, 1] for f in pool + local])
         got = np.array(full_memory_attention_oracle(q, pool, local, 1, 1, 0.25))
-        assert np.allclose(got, sdp_attention(q, k_cat, v_cat, 0.25), rtol=1e-9, atol=1e-12)
+        logits = q @ k_cat.T * 0.25
+        w = np.exp(logits - logits.max(axis=1, keepdims=True))
+        assert np.allclose(got, (w / w.sum(axis=1, keepdims=True)) @ v_cat, rtol=1e-9, atol=1e-12)
 
     def test_empty_pool_attends_local_only(self, rng):
         local = random_frames(rng, 2)
@@ -268,8 +262,8 @@ class TestFullMemoryOracle:
     def test_agrees_with_scalar_sdp_loop(self, rng):
         pool = random_frames(rng, 2)
         q = rng.standard_normal((2, 8))
-        k_cat = np.concatenate([f.keys_at(0, 0) for f in pool])
-        v_cat = np.concatenate([f.values_at(0, 0) for f in pool])
+        k_cat = np.concatenate([f.k[0, 0] for f in pool])
+        v_cat = np.concatenate([f.v[0, 0] for f in pool])
         a = full_memory_attention_oracle(q, pool, [], 0, 0, 0.3)
         b = sdp_attention_loop(q, k_cat, v_cat, 0.3)
         assert np.allclose(a, b, rtol=1e-12, atol=1e-15)

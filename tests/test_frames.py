@@ -1,11 +1,16 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from membank.errors import CapacityError, ConfigError, EmptyMemoryError, SinkAlreadySetError
-from membank.frames import FrameSink, bank_append, bank_new, bank_retain
-from oracles import random_frames
+from membank.engine import Mode, initial_state, step_chunk
+from membank.errors import CapacityError, ConfigError
+from membank.frames import bank_append, bank_new, bank_retain
+from membank.metrics import chunk_digest
+from membank.oracles import random_frames
+from membank.toymodel import ModelConfig, encode_prompt, init_weights, make_topic_space, synth_chunk
 
 
 def test_bank_new_capacities():
@@ -94,28 +99,45 @@ class TestAppend:
             assert ids == sorted(ids) and len(set(ids)) == len(ids)
 
 
+CFG = ModelConfig(seed=2)
+
+
+def stepper(cfg=CFG):
+    """step(state, chunk_id) -> (state, result) on one steady prompt."""
+    space = make_topic_space(2, cfg, 0.05)
+    w = init_weights(cfg)
+    prompt = encode_prompt("a steady prompt", 0, cfg, space, w)
+    return lambda state, c: step_chunk(state, prompt, synth_chunk(c % 2, c, cfg, space), cfg, w)
+
+
 class TestSink:
-    def test_set_once(self, rng):
-        frames = random_frames(rng, 3)
-        sink = FrameSink().set(frames)
-        assert len(sink.frames) == 3
+    """The sink is an immutable bank of one chunk, filled on chunk 0."""
+
+    def test_set_once(self):
+        step = stepper()
+        for saved_at in (0, 2):
+            state = initial_state(CFG, Mode.NAM_SMA)
+            for c in range(saved_at):
+                state, _ = step(state, c)
+            a_state, a = step(state, saved_at)
+            b_state, b = step(state, saved_at)
+            assert chunk_digest(a) == chunk_digest(b)
+            assert [f.frame_id for f in a_state.sink.frames] == [f.frame_id for f in b_state.sink.frames]
 
     def test_second_set_errors(self, rng):
-        sink = FrameSink().set(random_frames(rng, 2))
-        with pytest.raises(SinkAlreadySetError):
-            sink.set(random_frames(rng, 2))
+        step = stepper()
+        state, _ = step(initial_state(CFG, Mode.FRAME_SINK), 0)
+        with pytest.raises(CapacityError):
+            bank_append(state.sink, random_frames(rng, 1, start_id=99)[0])
+        with pytest.raises(FrozenInstanceError):
+            state.sink.frames = ()
 
-    def test_empty_set_errors(self):
-        with pytest.raises(EmptyMemoryError):
-            FrameSink().set([])
-
-    def test_contents_stable_after_set(self, rng):
-        frames = random_frames(rng, 2)
-        sink = FrameSink().set(frames)
-        before = [f.frame_id for f in sink.frames]
-        with pytest.raises(SinkAlreadySetError):
-            sink.set(random_frames(rng, 1, start_id=99))
-        assert [f.frame_id for f in sink.frames] == before
+    def test_contents_stable_after_set(self):
+        step = stepper()
+        state = initial_state(CFG, Mode.NAM_FULL)
+        for c in range(6):
+            state, _ = step(state, c)
+            assert [f.frame_id for f in state.sink.frames] == list(range(CFG.frames_per_chunk))
 
 
 def test_frame_arrays_read_only(rng):

@@ -1,3 +1,8 @@
+"""The attention and pooling maths the checks rest on: the scalar-loop
+attention oracle (`membank.oracles.sdp_attention_loop`), against hand
+cases and a numpy softmax, and the token pooling of a frame's key
+descriptor."""
+
 import math
 
 import numpy as np
@@ -6,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from membank.errors import EmptyMemoryError, ShapeError
-from membank.linalg import matmul, mean_pool_rows, sdp_attention, softmax_rows
-from oracles import sdp_attention_loop
+from membank.errors import ShapeError
+from membank.frames import FrameKV
+from membank.oracles import sdp_attention_loop
 
 finite_matrices = arrays(
     np.float64,
@@ -17,26 +22,24 @@ finite_matrices = arrays(
 )
 
 
-class TestMatmul:
-    def test_identity(self, rng):
-        m = rng.standard_normal((3, 4))
-        assert np.array_equal(matmul(np.eye(3), m), m)
+def softmax_rows(m):
+    """The oracle's attention weights: queries m against identity keys
+    and values, so each output row is the softmax of that row of m."""
+    m = np.asarray(m, dtype=np.float64)
+    eye = np.eye(m.shape[1])
+    return np.array(sdp_attention_loop(m, eye, eye, 1.0))
 
-    def test_zeros(self, rng):
-        m = rng.standard_normal((2, 5))
-        assert np.array_equal(matmul(np.zeros((2, 2)), m), np.zeros((2, 5)))
 
-    def test_small_product(self):
-        got = matmul([[1, 2], [3, 4]], [[1], [1]])
-        assert got.tolist() == [[3], [7]]
+def sdp_attention_numpy(q, k, v, scale):
+    logits = q @ k.T * scale
+    w = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return (w / w.sum(axis=1, keepdims=True)) @ v
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
 
-    def test_rejects_nan(self):
-        with pytest.raises(ShapeError):
-            matmul([[np.nan]], [[1.0]])
+def pooled(rows):
+    """Key descriptor of a one-layer, one-head frame with these token rows."""
+    k = np.asarray(rows, dtype=np.float64)[None, None]
+    return FrameKV(0, 0, k=k, v=np.zeros_like(k)).key_descriptor[0]
 
 
 class TestSoftmaxRows:
@@ -66,24 +69,24 @@ class TestSoftmaxRows:
 class TestMeanPoolRows:
     def test_single_row(self):
         r = [1.0, 2.0, 3.0]
-        assert mean_pool_rows([r]).tolist() == r
+        assert pooled([r]).tolist() == r
 
     def test_equal_rows(self):
         r = [2.0, -1.0]
-        assert mean_pool_rows([r, r, r]).tolist() == r
+        assert pooled([r, r, r]).tolist() == r
 
     def test_small_case(self):
-        assert mean_pool_rows([[1, 3], [5, 7]]).tolist() == [3.0, 5.0]
+        assert pooled([[1, 3], [5, 7]]).tolist() == [3.0, 5.0]
 
     def test_empty_errors(self):
-        with pytest.raises(EmptyMemoryError):
-            mean_pool_rows(np.empty((0, 3)))
+        with pytest.raises(ShapeError):
+            pooled(np.empty((0, 3)))
 
     @given(finite_matrices)
     @settings(max_examples=50, deadline=None)
     def test_permutation_invariant(self, m):
         perm = np.arange(m.shape[0])[::-1]
-        assert np.allclose(mean_pool_rows(m), mean_pool_rows(m[perm]), atol=1e-12)
+        assert np.allclose(pooled(m), pooled(m[perm]), atol=1e-12)
 
 
 class TestSdpAttention:
@@ -91,7 +94,7 @@ class TestSdpAttention:
         q = rng.standard_normal((4, 3))
         k = rng.standard_normal((1, 3))
         v = rng.standard_normal((1, 2))
-        out = sdp_attention(q, k, v)
+        out = np.array(sdp_attention_loop(q, k, v, 1 / math.sqrt(3)))
         assert np.allclose(out, np.repeat(v, 4, axis=0))
 
     def test_orthogonal_query_uniform(self):
@@ -99,15 +102,15 @@ class TestSdpAttention:
         q = np.array([[0.0, 0.0, 1.0]])
         k = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         v = np.array([[2.0, 0.0], [0.0, 4.0]])
-        assert np.allclose(sdp_attention(q, k, v), v.mean(axis=0, keepdims=True))
+        out = np.array(sdp_attention_loop(q, k, v, 1 / math.sqrt(3)))
+        assert np.allclose(out, v.mean(axis=0, keepdims=True))
 
     def test_matches_scalar_oracle_small(self, rng):
         q = rng.standard_normal((2, 4))
         k = rng.standard_normal((3, 4))
         v = rng.standard_normal((3, 5))
-        got = sdp_attention(q, k, v, 0.5)
-        want = np.array(sdp_attention_loop(q, k, v, 0.5))
-        assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+        got = np.array(sdp_attention_loop(q, k, v, 0.5))
+        assert np.allclose(got, sdp_attention_numpy(q, k, v, 0.5), rtol=1e-9, atol=1e-12)
 
     def test_matches_scalar_oracle_random_8x8x16(self):
         for seed in range(5):
@@ -116,20 +119,23 @@ class TestSdpAttention:
             k = rng.standard_normal((8, 16))
             v = rng.standard_normal((8, 16))
             scale = 1 / math.sqrt(16)
-            got = sdp_attention(q, k, v, scale)
-            want = np.array(sdp_attention_loop(q, k, v, scale))
-            assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+            got = np.array(sdp_attention_loop(q, k, v, scale))
+            assert np.allclose(got, sdp_attention_numpy(q, k, v, scale), rtol=1e-9, atol=1e-12)
 
     def test_output_within_value_range(self, rng):
         q = rng.standard_normal((6, 3))
         k = rng.standard_normal((5, 3))
         v = rng.standard_normal((5, 4))
-        out = sdp_attention(q, k, v)
+        out = np.array(sdp_attention_loop(q, k, v, 1 / math.sqrt(3)))
         lo, hi = v.min(axis=0), v.max(axis=0)
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
     def test_shape_errors(self, rng):
         with pytest.raises(ShapeError):
-            sdp_attention(rng.standard_normal((2, 3)), rng.standard_normal((2, 4)), rng.standard_normal((2, 4)))
+            sdp_attention_loop(
+                rng.standard_normal((2, 3)), rng.standard_normal((2, 4)), rng.standard_normal((2, 4)), 0.5
+            )
         with pytest.raises(ShapeError):
-            sdp_attention(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)), rng.standard_normal((3, 4)))
+            sdp_attention_loop(
+                rng.standard_normal((2, 3)), rng.standard_normal((2, 3)), rng.standard_normal((3, 4)), 0.5
+            )

@@ -5,14 +5,8 @@ from hypothesis import strategies as st
 
 from membank.errors import EmptyMemoryError, ShapeError
 from membank.frames import FrameKV, bank_append, bank_new
-from membank.retrieval import (
-    TextQuery,
-    chunk_prototype,
-    memory_update,
-    retrieve_top,
-    text_relevance_scores,
-)
-from oracles import best_subset, random_frames, relevance_scores_loop
+from membank.oracles import best_subset, random_frames, relevance_scores_loop
+from membank.retrieval import TextQuery, chunk_prototype, memory_update, text_relevance_scores
 
 L, H, P, D = 2, 2, 4, 8
 
@@ -99,29 +93,54 @@ class TestRelevanceScores:
         assert np.array_equal(a, b)
 
 
+def planted_frame(frame_id, direction, magnitude):
+    """Keys all along one basis direction of the query space."""
+    k = np.zeros((L, H, P, D))
+    k[:, :, :, direction] = magnitude
+    return FrameKV(frame_id, 0, k=k, v=np.zeros_like(k))
+
+
+ALONG_0 = np.zeros((L, H, D))
+ALONG_0[:, :, 0] = 4.0
+
+
 class TestRetrieveTop:
-    def test_all_indices(self):
-        assert retrieve_top([0.3, 0.1, 0.2], 3) == [0, 1, 2]
+    """Retention in `memory_update`: the top-k rule over relevance scores."""
 
-    def test_simple_top2(self):
-        assert retrieve_top([0.2, 0.9, 0.5], 2) == [1, 2]
+    def test_all_indices(self, rng):
+        bank = make_bank(random_frames(rng, 3, tokens=P), capacity=4)
+        chunk = random_frames(rng, 3, tokens=P, start_id=9)
+        _, retained = memory_update(bank, make_query(rng), chunk)
+        assert retained == [0, 1, 2]
 
-    def test_recency_tie_break(self):
-        assert retrieve_top([0.5, 0.5, 0.1], 1) == [1]
+    def test_simple_top2(self, rng):
+        # the middle frame is orthogonal to the query, so it is dropped
+        bank = make_bank(
+            [planted_frame(0, 0, 2.0), planted_frame(1, 1, 2.0), planted_frame(2, 0, 3.0)], capacity=3
+        )
+        chunk = random_frames(rng, 3, tokens=P, start_id=9)
+        _, retained = memory_update(bank, TextQuery(ALONG_0), chunk)
+        assert retained == [0, 2]
 
-    def test_too_many_errors(self):
-        with pytest.raises(IndexError):
-            retrieve_top([0.5], 2)
+    def test_recency_tie_break(self, rng):
+        bank = make_bank([planted_frame(0, 0, 2.0), planted_frame(1, 0, 2.0)], capacity=2)
+        scores = text_relevance_scores(TextQuery(ALONG_0), bank)
+        assert scores[0] == scores[1]
+        chunk = random_frames(rng, 3, tokens=P, start_id=9)
+        _, retained = memory_update(bank, TextQuery(ALONG_0), chunk)
+        assert retained == [1]
 
-    @given(
-        st.lists(st.floats(-1, 1, allow_nan=False), min_size=1, max_size=8),
-        st.data(),
-    )
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
-    def test_matches_subset_enumeration(self, scores, data):
-        r = data.draw(st.integers(0, len(scores)))
-        got = retrieve_top(scores, r)
-        assert tuple(got) == best_subset(scores, r) if r else got == []
+    def test_matches_subset_enumeration(self, cap, n, seed):
+        rng = np.random.default_rng(seed)
+        bank = make_bank(random_frames(rng, min(n, cap), tokens=P), capacity=cap)
+        q = make_query(rng)
+        chunk = random_frames(rng, 3, tokens=P, start_id=9)
+        _, retained = memory_update(bank, q, chunk)
+        keep = min(cap - 1, len(bank))
+        want = best_subset(text_relevance_scores(q, bank), keep)
+        assert retained == [bank.frames[i].frame_id for i in want]
 
 
 class TestChunkPrototype:
