@@ -4,7 +4,7 @@ Commands:
   run     one rollout, JSON metrics to stdout or --out
   ablate  mode x capacity grid, CSV or JSON report
   verify  built-in oracle checks (exit 2 on failure)
-  bench   repeated timed runs per mode, median throughput
+  bench   repeated timed runs per mode, median throughput and phase times
 
 Exit codes: 0 success, 1 validation failure, 2 verify/acceptance failure.
 The MEMBANK_SEED environment variable overrides the script seed; the
@@ -37,6 +37,9 @@ from .verify import run_all_checks
 SEED_ENV = "MEMBANK_SEED"
 
 MODE_NAMES = {m.value: m for m in Mode}
+
+# The step_chunk phases, as keyed in ChunkResult.wall_time, that bench reports.
+BENCH_PHASES = ("retrieval_update", "selection", "attention")
 
 
 def _read_json(path, what: str):
@@ -177,15 +180,20 @@ def cmd_bench(args) -> int:
                 Segment(f"benchmark segment {i}", i % 3, 5) for i in range(4)
             ),
         )
-    print(f"{'mode':<12}{'median chunks/s':>18}")
-    results = {}
+    # Beside the throughput, the median per-chunk wall time of each phase
+    # that step_chunk times, over every chunk of every repeat.
+    print(f"{'mode':<12}{'median chunks/s':>18}" + "".join(f"{name + ' ms':>20}" for name in BENCH_PHASES))
     for mode in Mode:
         cps = []
+        phase_ms = {name: [] for name in BENCH_PHASES}
         for _ in range(args.repeat):
             run = rollout(script, cfg, mode, noise_eps=args.noise_eps)
             cps.append(len(run.results) / run.elapsed_seconds)
-        results[mode.value] = statistics.median(cps)
-        print(f"{mode.value:<12}{results[mode.value]:>18.2f}")
+            for res in run.results:
+                for name in BENCH_PHASES:
+                    phase_ms[name].append(1e3 * res.wall_time[name])
+        phases = "".join(f"{statistics.median(phase_ms[name]):>20.4f}" for name in BENCH_PHASES)
+        print(f"{mode.value:<12}{statistics.median(cps):>18.2f}{phases}")
     return 0
 
 

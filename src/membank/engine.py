@@ -46,6 +46,10 @@ __all__ = [
     "rollout",
 ]
 
+# Logit bytes one batched attention block may hold. 256 KiB keeps a block
+# well inside a 2 MiB L2 cache; see the README's "Attention" note.
+LOGIT_BLOCK_BYTES = 256 * 1024
+
 
 class Mode(enum.Enum):
     NO_MEMORY = "no_memory"
@@ -147,39 +151,50 @@ def step_chunk(
             selected_ids.append([f.frame_id for f in chosen])
     wall["selection"] = time.perf_counter() - t0
 
-    # Each layer's K/V is assembled once as [H, N, d]: selected memory ++
-    # window ++ the new chunk. Query frame i attends to the prefix that
-    # ends with its own frame, so the intra-chunk causal mask is a slice.
-    # Blocks stay [P, N] per (head, query frame): a [H, T*P, N] block
-    # outgrows L2 cache at large P and runs slower. The K/V and logit
-    # buffers are allocated once per chunk and reused: at large P a fresh
-    # array per block costs more in page faults than the block's maths.
+    # Every layer's K/V is assembled once into [L, H, N, d]: selected
+    # memory ++ window ++ the new chunk, viewed as L*H (layer, head) pairs.
+    # Query frame i attends to the prefix that ends with its own frame, so
+    # the intra-chunk causal mask is a slice. One batched block covers as
+    # many pairs as fit LOGIT_BLOCK_BYTES of logits: at small P this saves
+    # numpy calls, at large P one pair fills the block and a bigger one
+    # would outgrow L2 cache. A block runs all T query frames before the
+    # next block starts, so its pairs' K/V stay in cache across frames.
+    # The K/V, logit and output buffers are allocated once per chunk: at
+    # large P a fresh array per block costs more in page faults than the
+    # block's maths.
     t0 = time.perf_counter()
-    T, P, d = cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.head_dim
-    q_scaled = queries * (1.0 / math.sqrt(d))
+    L, H, T, P, d = cfg.layers, cfg.heads, cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.head_dim
+    G = L * H
+    q_scaled = (queries * (1.0 / math.sqrt(d))).reshape(T, G, P, d)
     # Every layer attends the same number of memory frames.
     n_keys = (len(selected[0]) + len(state.local_window) + T) * P
     n_ctx = n_keys - T * P
-    k_l = np.empty((cfg.heads, n_keys, d))
-    v_l = np.empty((cfg.heads, n_keys, d))
-    logits = np.empty(P * n_keys)
-    attended = 0
-    outputs = []
-    for l in range(cfg.layers):
+    k = np.empty((L, H, n_keys, d))
+    v = np.empty((L, H, n_keys, d))
+    for l in range(L):
         context = selected[l] + state.local_window + tuple(frames)
-        np.concatenate([f.k[l] for f in context], axis=1, out=k_l)
-        np.concatenate([f.v[l] for f in context], axis=1, out=v_l)
-        out_l = np.empty((T, cfg.heads, P, d))
-        for h in range(cfg.heads):
-            for i in range(T):
-                n = n_ctx + (i + 1) * P
-                w = np.matmul(q_scaled[i, l, h], k_l[h, :n].T, out=logits[: P * n].reshape(P, n))
-                w -= w.max(axis=1, keepdims=True)
-                np.exp(w, out=w)
-                out = np.matmul(w, v_l[h, :n], out=out_l[i, h])
-                out /= w.sum(axis=1, keepdims=True)
-                attended += P * n
-        outputs.append(out_l)
+        np.concatenate([f.k[l] for f in context], axis=1, out=k[l])
+        np.concatenate([f.v[l] for f in context], axis=1, out=v[l])
+    k = k.reshape(G, n_keys, d)
+    v = v.reshape(G, n_keys, d)
+    g = max(1, min(G, LOGIT_BLOCK_BYTES // (8 * P * n_keys)))  # float64 logits
+    logits = np.empty(g * P * n_keys)
+    out_all = np.empty((T, G, P, d))
+    attended = 0
+    for lo in range(0, G, g):
+        hi = min(lo + g, G)
+        for i in range(T):
+            n = n_ctx + (i + 1) * P
+            w = np.matmul(
+                q_scaled[i, lo:hi], k[lo:hi, :n].transpose(0, 2, 1),
+                out=logits[: (hi - lo) * P * n].reshape(hi - lo, P, n),
+            )
+            w -= w.max(axis=2, keepdims=True)
+            np.exp(w, out=w)
+            out = np.matmul(w, v[lo:hi, :n], out=out_all[i, lo:hi])
+            out /= w.sum(axis=2, keepdims=True)
+            attended += (hi - lo) * P * n
+    outputs = [out_all[:, l * H : (l + 1) * H] for l in range(L)]
     wall["attention"] = time.perf_counter() - t0
 
     sink = replace(state.sink, frames=tuple(frames)) if state.chunk_counter == 0 else state.sink

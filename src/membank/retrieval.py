@@ -82,15 +82,16 @@ def memory_update(
     """Retain the most relevant frames, then append the previous chunk's
     prototype.
 
-    Retention is SMA's top-k rule (ties favor the later frame); a bank of
-    capacity 1 retains nothing. Returns the new bank and the retained
-    frame_ids (oracle bookkeeping). The prototype is always the last
-    element; the result never exceeds capacity.
+    Retention is SMA's top-k rule (ties favor the later frame); an empty
+    bank or a bank of capacity 1 retains nothing and is not scored.
+    Returns the new bank and the retained frame_ids (oracle bookkeeping).
+    The prototype is always the last element; the result never exceeds
+    capacity.
     """
     proto = chunk_prototype(prev_chunk)
-    if len(bank) == 0:
-        return bank_append(bank, proto), []
     keep = min(bank.capacity - 1, len(bank))
+    if keep == 0:
+        return bank_append(bank_retain(bank, ()), proto), []
     scores = text_relevance_scores(query, bank)
-    trimmed = bank_retain(bank, select_top_k(scores, keep).indices if keep else ())
+    trimmed = bank_retain(bank, select_top_k(scores, keep).indices)
     return bank_append(trimmed, proto), [f.frame_id for f in trimmed.frames]

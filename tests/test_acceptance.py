@@ -176,6 +176,21 @@ def test_criterion_7_throughput_ordering():
     report(7, ok, f"throughput ordering holds ({desc} chunks/s)")
 
 
+def test_criterion_7_attended_key_ordering():
+    # The machine-independent side of criterion 7, on its geometry and
+    # script: mean attended keys per chunk. frame_sink and nam_sma tie,
+    # because sma_k equals the sink size.
+    cfg = ModelConfig(tokens_per_frame=64, bank_capacity=12, sma_k=3)
+    script = NarrativeScript(
+        seed=7,
+        segments=tuple(Segment(f"scene {i}", i % 3, 8) for i in range(5)),  # 40 chunks
+    )
+    keys = {mode: float(np.mean([r.attended_key_count for r in rollout(script, cfg, mode).results])) for mode in Mode}
+    ok = keys[Mode.NO_MEMORY] < keys[Mode.FRAME_SINK] <= keys[Mode.NAM_SMA] < keys[Mode.NAM_FULL]
+    desc = ", ".join(f"{m.value}={keys[m]:.0f}" for m in Mode)
+    report(7, ok, f"attended-key ordering holds ({desc} keys/chunk)")
+
+
 def test_criterion_8_attended_key_accounting():
     cfg = ModelConfig()
     script = NarrativeScript(

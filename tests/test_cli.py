@@ -4,6 +4,7 @@ import json
 import pytest
 
 from membank.cli import main
+from membank.engine import Mode
 
 SCRIPT = {
     "seed": 6,
@@ -94,7 +95,14 @@ def test_bench_runs(capsys, tmp_path):
     cfg.write_text(json.dumps({"tokens_per_frame": 4, "head_dim": 4}))
     rc = main(["bench", "--repeat", "1", "--config", str(cfg)])
     assert rc == 0
-    assert "median chunks/s" in capsys.readouterr().out
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == [
+        "mode", "median", "chunks/s", "retrieval_update", "ms", "selection", "ms", "attention", "ms"
+    ]
+    assert [row.split()[0] for row in rows] == [m.value for m in Mode]
+    for row in rows:
+        cps, retrieval, selection, attention = map(float, row.split()[1:])
+        assert cps > 0 and attention > 0 and retrieval >= 0 and selection >= 0
 
 
 def test_bad_config_field(script_path, tmp_path, capsys):

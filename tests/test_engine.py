@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from membank import engine
 from membank.activation import select_top_k
 from membank.engine import Mode, initial_state, rollout, step_chunk
 from membank.errors import ScriptError
@@ -18,6 +21,7 @@ from membank.toymodel import (
     project_queries,
     synth_chunk,
 )
+from membank.verify import sma_full_pool_identity
 
 CFG = ModelConfig(seed=3)
 
@@ -64,6 +68,45 @@ def record_steps(mode, cfg, topics=(0, 0, 1, 1, 0)):
     return w, steps
 
 
+def assert_matches_oracle(mode, cfg, w, steps):
+    """Every layer, head and query frame of recorded steps against the
+    scalar-loop oracle at 1e-9, the intra-chunk causal prefix included."""
+    T = cfg.frames_per_chunk
+    scale = 1.0 / math.sqrt(cfg.head_dim)
+    for pre_state, chunk, state, res in steps:
+        if mode is Mode.NO_MEMORY:
+            pool = ()
+        elif mode is Mode.FRAME_SINK:
+            pool = pre_state.sink.frames
+        else:
+            pool = pre_state.sink.frames + state.bank.frames
+        by_id = {f.frame_id: f for f in pool}
+        frames = project_kv(chunk, cfg, w)
+        queries = project_queries(chunk, cfg, w)
+        for l in range(cfg.layers):
+            ids = res.selected_frame_ids[l]
+            if mode is Mode.NAM_SMA:
+                assert len(ids) == min(cfg.sma_k, len(pool))
+                assert set(ids) <= set(by_id)
+            else:
+                assert ids == [f.frame_id for f in pool]
+            memory = [by_id[i] for i in ids]
+            assert res.attention_outputs[l].shape == (T, cfg.heads, cfg.tokens_per_frame, cfg.head_dim)
+            for i in range(T):
+                local = pre_state.local_window + tuple(frames[: i + 1])
+                for h in range(cfg.heads):
+                    want = full_memory_attention_oracle(queries[i, l, h], memory, local, l, h, scale)
+                    got = res.attention_outputs[l][i, h]
+                    assert np.max(np.abs(got - np.array(want))) <= 1e-9
+
+
+def expected_key_count(cfg, n_selected, window):
+    """Criterion 8's closed form for one chunk's attended keys."""
+    P, T = cfg.tokens_per_frame, cfg.frames_per_chunk
+    causal = P * P * T * (T + 1) // 2
+    return cfg.layers * cfg.heads * (P * T * P * (n_selected + window) + causal)
+
+
 class TestEngineAgainstOracle:
     """The engine's own attention kernel, intra-chunk causal prefix
     included, against the scalar-loop oracle."""
@@ -71,35 +114,120 @@ class TestEngineAgainstOracle:
     @pytest.mark.parametrize("cfg", [ModelConfig(seed=3), ODD_CFG], ids=["default", "odd"])
     @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
     def test_attention_outputs_match_oracle(self, mode, cfg):
-        T, d = cfg.frames_per_chunk, cfg.head_dim
-        scale = 1.0 / math.sqrt(d)
         w, steps = record_steps(mode, cfg)
-        for pre_state, chunk, state, res in steps:
-            if mode is Mode.NO_MEMORY:
-                pool = ()
-            elif mode is Mode.FRAME_SINK:
-                pool = pre_state.sink.frames
-            else:
-                pool = pre_state.sink.frames + state.bank.frames
-            by_id = {f.frame_id: f for f in pool}
-            frames = project_kv(chunk, cfg, w)
-            queries = project_queries(chunk, cfg, w)
-            for l in range(cfg.layers):
-                ids = res.selected_frame_ids[l]
-                if mode is Mode.NAM_SMA:
-                    assert len(ids) == min(cfg.sma_k, len(pool))
-                    assert set(ids) <= set(by_id)
-                else:
-                    assert ids == [f.frame_id for f in pool]
-                memory = [by_id[i] for i in ids]
-                for i in range(T):
-                    local = pre_state.local_window + tuple(frames[: i + 1])
-                    for h in range(cfg.heads):
-                        want = full_memory_attention_oracle(
-                            queries[i, l, h], memory, local, l, h, scale
-                        )
-                        got = res.attention_outputs[l][i, h]
-                        assert np.max(np.abs(got - np.array(want))) <= 1e-9
+        assert_matches_oracle(mode, cfg, w, steps)
+
+
+def full_window_keys(mode, cfg):
+    """Keys per (layer, head) once the window and the bank are full."""
+    T = cfg.frames_per_chunk
+    memory = {
+        Mode.NO_MEMORY: 0,
+        Mode.FRAME_SINK: T,
+        Mode.NAM_FULL: T + cfg.bank_capacity,
+        Mode.NAM_SMA: cfg.sma_k,
+    }[mode]
+    return (memory + cfg.local_window + T) * cfg.tokens_per_frame
+
+
+# Logit budgets per mode at the default geometry (G = 4 pairs): one pair
+# per block; all pairs in one block; and 3 pairs per block on full-window
+# chunks, which leaves a remainder block of 1 pair.
+BLOCK_BUDGETS = {
+    "g1": lambda mode, cfg: 1,
+    "gG": lambda mode, cfg: 2**30,
+    "g3": lambda mode, cfg: 3 * 8 * cfg.tokens_per_frame * full_window_keys(mode, cfg),
+}
+BLOCK_SIZES = {"g1": [1, 1, 1, 1], "gG": [4], "g3": [3, 1]}  # pairs per block, full window
+BLOCK_TOPICS = (0, 0, 1, 1, 0, 1)  # the window fills at chunk 2, the bank at chunk 3
+
+
+class MatmulSpy:
+    """Stands in for numpy inside the engine and records the number of
+    (layer, head) pairs in each batched product."""
+
+    def __init__(self):
+        self.pairs = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, out):
+        self.pairs.append(a.shape[0])
+        return np.matmul(a, b, out=out)
+
+
+class TestLogitBlocks:
+    """The pairs-per-block rule changes the grouping of the attention
+    calls, never a byte of the output."""
+
+    @pytest.mark.parametrize("budget", list(BLOCK_BUDGETS))
+    def test_budget_keeps_outputs(self, budget, monkeypatch):
+        cfg = CFG
+        assert cfg.layers * cfg.heads == 4
+        T = cfg.frames_per_chunk
+        for mode in Mode:
+            _, reference = record_steps(mode, cfg, BLOCK_TOPICS)
+            spy = MatmulSpy()
+            monkeypatch.setattr(engine, "LOGIT_BLOCK_BYTES", BLOCK_BUDGETS[budget](mode, cfg))
+            monkeypatch.setattr(engine, "np", spy)
+            w, steps = record_steps(mode, cfg, BLOCK_TOPICS)
+            monkeypatch.undo()
+            # The last chunk has a full window and, in the bank modes, a
+            # full bank. Each block runs T query frames, each with one
+            # matmul for the logits and one for the values.
+            last_chunk = [g for g in BLOCK_SIZES[budget] for _ in range(2 * T)]
+            assert spy.pairs[-len(last_chunk) :] == last_chunk
+            assert_matches_oracle(mode, cfg, w, steps)
+            window = 0
+            for (_, _, _, res), (_, _, _, ref) in zip(steps, reference):
+                assert all(map(np.array_equal, res.attention_outputs, ref.attention_outputs))
+                assert res.attended_key_count == expected_key_count(cfg, len(res.selected_frame_ids[0]), window)
+                window = min(window + T, cfg.local_window)
+
+
+@st.composite
+def model_configs(draw):
+    T = draw(st.integers(1, 3))
+    b = draw(st.integers(1, 4))
+    return ModelConfig(
+        layers=draw(st.integers(1, 3)),
+        heads=draw(st.integers(1, 3)),
+        head_dim=4,
+        tokens_per_frame=draw(st.integers(1, 8)),
+        frames_per_chunk=T,
+        local_window=draw(st.integers(1, 7)),
+        bank_capacity=b,
+        sma_k=draw(st.integers(1, b + T)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestRandomConfigs:
+    RANDOM_TOPICS = (0, 1, 1, 0)
+
+    @given(cfg=model_configs())
+    @settings(max_examples=30, deadline=None)
+    def test_engine_invariants(self, cfg):
+        T = cfg.frames_per_chunk
+        topic = self.RANDOM_TOPICS[2]
+        for mode in Mode:
+            w, steps = record_steps(mode, cfg, self.RANDOM_TOPICS)
+            assert_matches_oracle(mode, cfg, w, steps)
+            for _, _, state, _ in steps:
+                assert len(state.bank) <= cfg.bank_capacity
+                assert [f.frame_id for f in state.sink.frames] == list(range(T))
+            # One saved state stepped twice gives the recorded chunk both times.
+            pre_state, chunk, _, res = steps[2]
+            prompt = encode_prompt(f"prompt about topic {topic}", topic, cfg, make_topic_space(2, cfg, 0.05), w)
+            _, again = step_chunk(pre_state, prompt, chunk, cfg, w)
+            _, third = step_chunk(pre_state, prompt, chunk, cfg, w)
+            assert chunk_digest(again) == chunk_digest(third) == chunk_digest(res)
+
+    @given(cfg=model_configs())
+    @settings(max_examples=30, deadline=None)
+    def test_sma_covering_the_pool_is_nam_full(self, cfg):
+        assert sma_full_pool_identity(make_script(seed=cfg.seed, pattern=(0, 1), chunks=2), cfg)
 
 
 class TestSmaSelection:
@@ -170,14 +298,11 @@ class TestStepChunk:
 
     def test_attended_key_accounting(self):
         _, results = run_steps(Mode.NAM_SMA, 8)
-        P, T = CFG.tokens_per_frame, CFG.frames_per_chunk
         state_window = 0
-        for m, res in enumerate(results):
+        for res in results:
             sel = len(res.selected_frame_ids[0])
-            causal = P * P * T * (T + 1) // 2
-            per_layer_head = P * T * P * (sel + state_window) + causal
-            assert res.attended_key_count == CFG.layers * CFG.heads * per_layer_head
-            state_window = min(state_window + T, CFG.local_window)
+            assert res.attended_key_count == expected_key_count(CFG, sel, state_window)
+            state_window = min(state_window + CFG.frames_per_chunk, CFG.local_window)
 
 
 class TestModeOrdering:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from membank import retrieval
 from membank.errors import EmptyMemoryError, ShapeError
 from membank.frames import FrameKV, bank_append, bank_new
 from membank.oracles import best_subset, random_frames, relevance_scores_loop
@@ -168,6 +169,16 @@ class TestMemoryUpdate:
         bank, retained = memory_update(bank_new(3), make_query(rng), chunk)
         assert len(bank) == 1 and retained == []
         assert bank.frames[0].frame_id == chunk[0].frame_id
+
+    def test_capacity_one_is_not_scored(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a capacity-1 bank retains nothing and needs no scores")
+
+        monkeypatch.setattr(retrieval, "text_relevance_scores", refuse)
+        bank = make_bank(random_frames(rng, 1, tokens=P), capacity=1)
+        chunk = random_frames(rng, 3, tokens=P, start_id=5)
+        new_bank, retained = memory_update(bank, make_query(rng), chunk)
+        assert new_bank.frames == (chunk_prototype(chunk),) and retained == []
 
     def test_full_bank_retains_top_scored(self, rng):
         # force frame 0 orthogonal (lowest score) so frames 1,2 are kept
