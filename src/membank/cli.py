@@ -7,8 +7,7 @@ Commands:
   bench   repeated timed runs per mode, median throughput and phase times
 
 Exit codes: 0 success, 1 validation failure, 2 verify/acceptance failure.
-The MEMBANK_SEED environment variable overrides the script seed; the
---seed flag wins over both.
+The seed comes from the script; the --seed flag overrides it.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import statistics
 import sys
 from pathlib import Path
@@ -26,15 +24,12 @@ from .errors import ConfigError, MembankError
 from .metrics import (
     compute_metrics,
     grid_to_csv,
-    metrics_to_dict,
     metrics_to_json,
     run_ablation_grid,
 )
 from .script import NarrativeScript, parse_script
 from .toymodel import ModelConfig
 from .verify import run_all_checks
-
-SEED_ENV = "MEMBANK_SEED"
 
 MODE_NAMES = {m.value: m for m in Mode}
 
@@ -60,7 +55,8 @@ def load_config(path) -> ModelConfig:
     doc = _read_json(path, "config file")
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
-    known = {f.name for f in dataclasses.fields(ModelConfig)}
+    # The seed is the script's (or --seed's), never the config file's.
+    known = {f.name for f in dataclasses.fields(ModelConfig)} - {"seed"}
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -94,15 +90,9 @@ def _check_repeat(repeat: int) -> None:
 
 
 def _effective_script(script: NarrativeScript, flag_seed) -> NarrativeScript:
-    seed = flag_seed
-    if seed is None and os.environ.get(SEED_ENV):
-        try:
-            seed = int(os.environ[SEED_ENV])
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV} must be an integer, got {os.environ[SEED_ENV]!r}") from None
-    if seed is None:
+    if flag_seed is None:
         return script
-    return dataclasses.replace(script, seed=seed)
+    return dataclasses.replace(script, seed=flag_seed)
 
 
 def _write_or_print(text: str, out):
@@ -136,15 +126,8 @@ def cmd_ablate(args) -> int:
     report = run_ablation_grid(script, cfg, modes, b_values, noise_eps=args.noise_eps, repeats=args.repeat)
     _print_grid_table(report)
     if args.out:
-        if str(args.out).endswith(".csv"):
-            Path(args.out).write_text(grid_to_csv(report), encoding="utf-8")
-        else:
-            rows = [
-                {"mode": r["mode"], "bank_capacity": r["bank_capacity"], **metrics_to_dict(r["metrics"])}
-                for r in report["rows"]
-            ]
-            doc = {"rows": rows, "throughput_ordering_ok": report["throughput_ordering_ok"]}
-            Path(args.out).write_text(json.dumps(doc, indent=2), encoding="utf-8")
+        text = grid_to_csv(report) if str(args.out).endswith(".csv") else json.dumps(report, indent=2)
+        Path(args.out).write_text(text, encoding="utf-8")
     return 0
 
 
@@ -152,11 +135,10 @@ def _print_grid_table(report):
     header = f"{'mode':<12}{'b':>4}{'precision':>12}{'sma_l2':>12}{'keys':>12}{'chunks/s':>12}"
     print(header)
     for row in report["rows"]:
-        m = row["metrics"]
-        prec = "-" if m.retrieval_precision is None else f"{m.retrieval_precision:.3f}"
+        prec = "-" if row["retrieval_precision"] is None else f"{row['retrieval_precision']:.3f}"
         print(
             f"{row['mode']:<12}{row['bank_capacity']:>4}{prec:>12}"
-            f"{m.sma_vs_full_l2:>12.3e}{m.mean_attended_keys:>12.1f}{m.chunks_per_second:>12.2f}"
+            f"{row['sma_vs_full_l2']:>12.3e}{row['mean_attended_keys']:>12.1f}{row['chunks_per_second']:>12.2f}"
         )
     if report["throughput_ordering_ok"] is not None:
         print(f"throughput ordering ok: {report['throughput_ordering_ok']}")

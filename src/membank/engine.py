@@ -64,7 +64,6 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class RolloutState:
-    chunk_counter: int
     sink: MemoryBank  # the first chunk's frames; empty before chunk 0
     bank: MemoryBank
     local_window: tuple[FrameKV, ...]
@@ -95,7 +94,6 @@ class RolloutRun:
 
 def initial_state(cfg: ModelConfig, mode: Mode) -> RolloutState:
     return RolloutState(
-        chunk_counter=0,
         sink=bank_new(cfg.frames_per_chunk),
         bank=bank_new(cfg.bank_capacity),
         local_window=(),
@@ -197,7 +195,7 @@ def step_chunk(
     outputs = [out_all[:, l * H : (l + 1) * H] for l in range(L)]
     wall["attention"] = time.perf_counter() - t0
 
-    sink = replace(state.sink, frames=tuple(frames)) if state.chunk_counter == 0 else state.sink
+    sink = state.sink if state.sink.frames else replace(state.sink, frames=tuple(frames))
     new_window = (state.local_window + tuple(frames))[-cfg.local_window :]
 
     result = ChunkResult(
@@ -212,7 +210,6 @@ def step_chunk(
     )
     new_state = replace(
         state,
-        chunk_counter=state.chunk_counter + 1,
         sink=sink,
         bank=bank,
         local_window=new_window,

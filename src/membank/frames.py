@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,15 +24,12 @@ class FrameKV:
     """KV cache of a single latent frame across all layers and heads.
 
     k and v are float64 arrays of shape [L, H, P, d]; P is tokens per
-    frame. topic_label exists only for oracle evaluation and must never
-    influence retrieval or attention.
+    frame.
     """
 
     frame_id: int
-    chunk_id: int
     k: np.ndarray
     v: np.ndarray
-    topic_label: Optional[int] = None
 
     def __post_init__(self):
         if self.k.ndim != 4 or self.v.ndim != 4:

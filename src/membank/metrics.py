@@ -130,7 +130,8 @@ def run_ablation_grid(
     noise_eps: float = 0.05,
     repeats: int = 1,
 ) -> dict:
-    """One metrics row per (mode, bank capacity).
+    """One flat row per (mode, bank capacity): the mode, the capacity and
+    the `metrics_to_dict` fields.
 
     chunks_per_second is the median over `repeats` runs; everything else
     comes from the first run (all runs are bit-identical apart from time).
@@ -150,7 +151,7 @@ def run_ablation_grid(
             cps = statistics.median(len(r.results) / r.elapsed_seconds for r in runs)
             m = compute_metrics(runs[0], full_run if mode is Mode.NAM_SMA else None)
             m = replace(m, chunks_per_second=cps)
-            rows.append({"mode": mode.value, "bank_capacity": b, "metrics": m})
+            rows.append({"mode": mode.value, "bank_capacity": b, **metrics_to_dict(m)})
     ordering = _throughput_ordering(rows)
     return {"rows": rows, "throughput_ordering_ok": ordering}
 
@@ -160,7 +161,7 @@ def _throughput_ordering(rows) -> Optional[bool]:
     slowest, gated in between; None when modes are missing."""
     by_mode: dict[str, float] = {}
     for row in rows:
-        by_mode.setdefault(row["mode"], row["metrics"].chunks_per_second)
+        by_mode.setdefault(row["mode"], row["chunks_per_second"])
     needed = {m.value for m in (Mode.NO_MEMORY, Mode.FRAME_SINK, Mode.NAM_SMA, Mode.NAM_FULL)}
     if not needed <= set(by_mode):
         return None
@@ -194,19 +195,7 @@ def metrics_to_json(m: RolloutMetrics, extra: Optional[dict] = None) -> str:
 
 def grid_to_csv(report: dict) -> str:
     buf = io.StringIO()
-    fields = [
-        "mode",
-        "bank_capacity",
-        "retrieval_precision",
-        "sma_vs_full_l2",
-        "mean_attended_keys",
-        "chunks_per_second",
-        "determinism_hash",
-    ]
-    writer = csv.DictWriter(buf, fieldnames=fields)
+    writer = csv.DictWriter(buf, fieldnames=list(report["rows"][0]))
     writer.writeheader()
-    for row in report["rows"]:
-        rec = {"mode": row["mode"], "bank_capacity": row["bank_capacity"]}
-        rec.update(metrics_to_dict(row["metrics"]))
-        writer.writerow(rec)
+    writer.writerows(report["rows"])
     return buf.getvalue()

@@ -128,17 +128,15 @@ def best_subset(scores, k):
     )
 
 
-def random_frames(rng, count, layers=2, heads=2, tokens=4, dim=8, start_id=0, topic=None):
+def random_frames(rng, count, layers=2, heads=2, tokens=4, dim=8, start_id=0):
     """count frames of standard-normal K/V with consecutive frame ids."""
     out = []
     for i in range(count):
         out.append(
             FrameKV(
                 frame_id=start_id + i,
-                chunk_id=(start_id + i) // 3,
                 k=rng.standard_normal((layers, heads, tokens, dim)),
                 v=rng.standard_normal((layers, heads, tokens, dim)),
-                topic_label=topic,
             )
         )
     return out

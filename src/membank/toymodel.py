@@ -89,8 +89,8 @@ class TopicSpace:
     noise_eps: float
 
     def __post_init__(self):
-        if self.noise_eps < 0:
-            raise ConfigError("noise_eps must be >= 0")
+        if not 0 <= self.noise_eps < np.inf:
+            raise ConfigError(f"noise_eps must be finite and >= 0, got {self.noise_eps}")
         g = self.centroids @ self.centroids.T
         off = g - np.diag(np.diag(g))
         if np.abs(off).max(initial=0.0) > 0.1:
@@ -108,7 +108,6 @@ class ChunkTokens:
 
     chunk_id: int
     frames: np.ndarray
-    topic_label: int
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.frames)):
@@ -126,12 +125,6 @@ class Weights:
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for w in (self.wq, self.wk, self.wv):
-            h.update(np.ascontiguousarray(w).tobytes())
-        return h.hexdigest()[:16]
 
 
 def _rng(*parts) -> np.random.Generator:
@@ -187,11 +180,7 @@ def encode_prompt(
     for t, word in enumerate(tokens):
         noise = _rng(cfg.seed, "prompt", text, t).standard_normal(cfg.model_dim)
         emb[t] = centroid + PROMPT_JITTER * noise / np.sqrt(cfg.model_dim)
-    q = np.empty((cfg.layers, cfg.heads, cfg.head_dim))
-    for l in range(cfg.layers):
-        for h in range(cfg.heads):
-            q[l, h] = (emb @ weights.wq[l, h]).mean(axis=0)
-    return TextQuery(q=q)
+    return TextQuery(q=np.matmul(emb, weights.wq).mean(axis=2))
 
 
 def synth_chunk(
@@ -208,7 +197,7 @@ def synth_chunk(
         (cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.model_dim)
     )
     frames = centroid + space.noise_eps * noise / np.sqrt(cfg.model_dim)
-    return ChunkTokens(chunk_id=chunk_id, frames=frames, topic_label=topic)
+    return ChunkTokens(chunk_id=chunk_id, frames=frames)
 
 
 def project_kv(chunk: ChunkTokens, cfg: ModelConfig, weights: Weights) -> list[FrameKV]:
@@ -226,10 +215,8 @@ def project_kv(chunk: ChunkTokens, cfg: ModelConfig, weights: Weights) -> list[F
     return [
         FrameKV(
             frame_id=chunk.chunk_id * cfg.frames_per_chunk + t,
-            chunk_id=chunk.chunk_id,
             k=k[t].copy(),
             v=v[t].copy(),
-            topic_label=chunk.topic_label,
         )
         for t in range(cfg.frames_per_chunk)
     ]

@@ -133,10 +133,10 @@ def test_criterion_6_sma_fidelity():
         cands = []
         for t in range(4):
             ch = synth_chunk(t, t, cfg, space)
-            ch = type(ch)(chunk_id=ch.chunk_id, frames=ch.frames * amp, topic_label=t)
+            ch = type(ch)(chunk_id=ch.chunk_id, frames=ch.frames * amp)
             cands.append(project_kv(ch, cfg, w)[0])
         qc = synth_chunk(0, 9, cfg, space)
-        qc = type(qc)(chunk_id=9, frames=qc.frames * amp, topic_label=0)
+        qc = type(qc)(chunk_id=9, frames=qc.frames * amp)
         # With no previous chunk the bank is not updated, so the prompt is unused.
         prompt = encode_prompt("a scene", 0, cfg, space, w)
         res = {}

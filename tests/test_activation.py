@@ -28,7 +28,7 @@ from membank.toymodel import (
 
 def frame(k, frame_id=0):
     k = np.asarray(k, dtype=np.float64)
-    return FrameKV(frame_id, 0, k=k, v=np.zeros_like(k))
+    return FrameKV(frame_id, k=k, v=np.zeros_like(k))
 
 
 def constant_frame(row, shape=(2, 2, 3)):
@@ -110,7 +110,7 @@ class TestRelevance:
     def test_scale_equivariance(self, rng):
         pool = random_frames(rng, 3)
         queries = rng.standard_normal((2, 2, 2, 4, 8))
-        scaled = [FrameKV(f.frame_id, f.chunk_id, 3.5 * f.k, f.v) for f in pool]
+        scaled = [FrameKV(f.frame_id, 3.5 * f.k, f.v) for f in pool]
         got, want = sma_scores(queries, scaled), 3.5 * sma_scores(queries, pool)
         assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(got.flat, want.flat))
 
@@ -151,7 +151,7 @@ def toy_chunk(cfg, topic=0, chunk_id=9, amp=1.0):
     """A planted-topic chunk with its tokens scaled by amp, and the weights."""
     space = make_topic_space(4, cfg, 0.02)
     chunk = synth_chunk(topic, chunk_id, cfg, space)
-    return type(chunk)(chunk_id, chunk.frames * amp, topic), init_weights(cfg)
+    return type(chunk)(chunk_id, chunk.frames * amp), init_weights(cfg)
 
 
 def step_from_bank(mode, cfg, bank_frames, chunk, w):
@@ -224,7 +224,7 @@ class TestGatedAttention:
     def test_descriptor_scaling_keeps_selection(self, rng):
         cfg = replace(CFG, sma_k=2)
         bank = random_bank(rng, 4)
-        scaled = [FrameKV(f.frame_id, f.chunk_id, 2.0 * f.k, f.v) for f in bank]
+        scaled = [FrameKV(f.frame_id, 2.0 * f.k, f.v) for f in bank]
         chunk, w = toy_chunk(cfg)
         a = step_from_bank(Mode.NAM_SMA, cfg, bank, chunk, w)
         b = step_from_bank(Mode.NAM_SMA, cfg, scaled, chunk, w)

@@ -51,14 +51,12 @@ def test_run_malformed_script(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_seed_flag_wins_over_env(script_path, tmp_path, monkeypatch):
+def test_seed_flag_overrides_script_seed(script_path, tmp_path):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
     out_c = tmp_path / "c.json"
-    monkeypatch.setenv("MEMBANK_SEED", "123")
-    main(["run", "--script", script_path, "--out", str(out_a)])
+    main(["run", "--script", script_path, "--seed", "123", "--out", str(out_a)])
     main(["run", "--script", script_path, "--seed", "6", "--out", str(out_b)])
-    monkeypatch.delenv("MEMBANK_SEED")
     main(["run", "--script", script_path, "--out", str(out_c)])
     a, b, c = (json.loads(p.read_text()) for p in (out_a, out_b, out_c))
     assert a["seed"] == 123
@@ -76,6 +74,22 @@ def test_ablate_csv(script_path, tmp_path, capsys):
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 4
     assert {r["mode"] for r in rows} == {"no_memory", "nam_full"}
+
+
+def test_ablate_json_rows_match_csv(script_path, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"modes": ["no_memory", "nam_sma"], "b_values": [3, 4]}))
+    out_json, out_csv = tmp_path / "g.json", tmp_path / "g.csv"
+    for out in (out_json, out_csv):
+        assert main(["ablate", "--script", script_path, "--grid", str(grid), "--out", str(out)]) == 0
+    doc = json.loads(out_json.read_text())
+    header = out_csv.read_text().splitlines()[0].split(",")
+    assert list(doc) == ["rows", "throughput_ordering_ok"]
+    assert doc["throughput_ordering_ok"] is None
+    assert [(r["mode"], r["bank_capacity"]) for r in doc["rows"]] == [
+        ("no_memory", 3), ("nam_sma", 3), ("no_memory", 4), ("nam_sma", 4)
+    ]
+    assert all(list(r) == header for r in doc["rows"])
 
 
 def test_ablate_default_grid_prints_table(script_path, capsys):
@@ -109,6 +123,13 @@ def test_bad_config_field(script_path, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
     assert main(["run", "--script", script_path, "--config", str(cfg)]) == 1
+
+
+def test_config_seed_rejected(script_path, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 999}))
+    rc = main(["run", "--script", script_path, "--config", str(cfg)])
+    assert_one_error_line(rc, capsys, "unknown config fields", "seed")
 
 
 @pytest.mark.parametrize("value", ["2", 2.5, True, None])
@@ -170,11 +191,6 @@ def test_run_script_not_utf8_rejected(tmp_path, capsys):
     p = tmp_path / "bin.json"
     p.write_bytes(b"\xff\xfe")
     assert_one_error_line(main(["run", "--script", str(p)]), capsys, "UTF-8")
-
-
-def test_bad_seed_env_names_variable(script_path, monkeypatch, capsys):
-    monkeypatch.setenv("MEMBANK_SEED", "abc")
-    assert_one_error_line(main(["run", "--script", script_path]), capsys, "MEMBANK_SEED", "abc")
 
 
 def test_programming_error_propagates(script_path, monkeypatch):

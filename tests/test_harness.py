@@ -158,13 +158,15 @@ class TestAblationGrid:
     def test_csv_shape(self):
         report = run_ablation_grid(single_topic_script(2), CFG, [Mode.NO_MEMORY], [3])
         lines = grid_to_csv(report).strip().splitlines()
-        assert lines[0].startswith("mode,bank_capacity,retrieval_precision")
+        assert lines[0] == ",".join(report["rows"][0]) == (
+            "mode,bank_capacity,retrieval_precision,sma_vs_full_l2,"
+            "mean_attended_keys,chunks_per_second,determinism_hash"
+        )
         assert len(lines) == 2
 
     def test_rows_deterministic_modulo_time(self):
         a = run_ablation_grid(revisiting_script(), CFG, [Mode.NAM_SMA], [3])
         b = run_ablation_grid(revisiting_script(), CFG, [Mode.NAM_SMA], [3])
-        ma, mb = a["rows"][0]["metrics"], b["rows"][0]["metrics"]
-        assert ma.determinism_hash == mb.determinism_hash
-        assert ma.retrieval_precision == mb.retrieval_precision
-        assert ma.mean_attended_keys == mb.mean_attended_keys
+        ra, rb = a["rows"][0], b["rows"][0]
+        assert ra.pop("chunks_per_second") > 0 and rb.pop("chunks_per_second") > 0
+        assert ra == rb

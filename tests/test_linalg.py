@@ -39,7 +39,7 @@ def sdp_attention_numpy(q, k, v, scale):
 def pooled(rows):
     """Key descriptor of a one-layer, one-head frame with these token rows."""
     k = np.asarray(rows, dtype=np.float64)[None, None]
-    return FrameKV(0, 0, k=k, v=np.zeros_like(k)).key_descriptor[0]
+    return FrameKV(0, k=k, v=np.zeros_like(k)).key_descriptor[0]
 
 
 class TestSoftmaxRows:

@@ -38,8 +38,8 @@ class TestRelevanceScores:
         aligned[:, :, :, 0] = 5.0  # keys along the query direction
         ortho = np.zeros((L, H, P, D))
         ortho[:, :, :, 1] = 5.0
-        fa = FrameKV(0, 0, k=aligned, v=np.zeros_like(aligned))
-        fb = FrameKV(1, 0, k=ortho, v=np.zeros_like(ortho))
+        fa = FrameKV(0, k=aligned, v=np.zeros_like(aligned))
+        fb = FrameKV(1, k=ortho, v=np.zeros_like(ortho))
         bank = make_bank([fa, fb])
         q = TextQuery(qvec)
         scores = text_relevance_scores(q, bank)
@@ -82,23 +82,12 @@ class TestRelevanceScores:
         with pytest.raises(EmptyMemoryError):
             text_relevance_scores(make_query(rng), bank_new(3))
 
-    def test_label_blind(self, rng):
-        frames = random_frames(rng, 3, tokens=P)
-        relabeled = [
-            FrameKV(f.frame_id, f.chunk_id, f.k, f.v, topic_label=(2 - i))
-            for i, f in enumerate(frames)
-        ]
-        q = make_query(rng)
-        a = text_relevance_scores(q, make_bank(frames))
-        b = text_relevance_scores(q, make_bank(relabeled))
-        assert np.array_equal(a, b)
-
 
 def planted_frame(frame_id, direction, magnitude):
     """Keys all along one basis direction of the query space."""
     k = np.zeros((L, H, P, D))
     k[:, :, :, direction] = magnitude
-    return FrameKV(frame_id, 0, k=k, v=np.zeros_like(k))
+    return FrameKV(frame_id, k=k, v=np.zeros_like(k))
 
 
 ALONG_0 = np.zeros((L, H, D))
@@ -188,7 +177,7 @@ class TestMemoryUpdate:
         for i in range(3):
             k = np.zeros((L, H, P, D))
             k[:, :, :, 0 if i else 1] = 2.0 + i
-            frames.append(FrameKV(i, 0, k=k, v=np.zeros_like(k)))
+            frames.append(FrameKV(i, k=k, v=np.zeros_like(k)))
         bank = make_bank(frames, capacity=3)
         chunk = random_frames(rng, 3, tokens=P, start_id=9)
         new_bank, retained = memory_update(bank, TextQuery(qvec), chunk)
