@@ -50,6 +50,12 @@ __all__ = [
 # well inside a 2 MiB L2 cache; see the README's "Attention" note.
 LOGIT_BLOCK_BYTES = 256 * 1024
 
+# Largest bound on |logit| at which a block skips the max shift: every
+# exp then lies in [e^-64, e^64], far inside float64's range, so neither
+# the numerator nor the row sum can overflow or underflow to zero. See
+# the README's "Attention" note.
+UNSHIFTED_LOGIT_BOUND = 64.0
+
 
 class Mode(enum.Enum):
     NO_MEMORY = "no_memory"
@@ -160,6 +166,11 @@ def step_chunk(
     # The K/V, logit and output buffers are allocated once per chunk: at
     # large P a fresh array per block costs more in page faults than the
     # block's maths.
+    # V carries a column of ones, so the value product also yields each
+    # row's softmax sum and one divide per chunk normalises every row.
+    # Since |q.k| <= d * max|q| * max|k|, the max shift that keeps exp
+    # from overflowing runs only when that bound exceeds
+    # UNSHIFTED_LOGIT_BOUND (or is NaN).
     t0 = time.perf_counter()
     L, H, T, P, d = cfg.layers, cfg.heads, cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.head_dim
     G = L * H
@@ -168,16 +179,19 @@ def step_chunk(
     n_keys = (len(selected[0]) + len(state.local_window) + T) * P
     n_ctx = n_keys - T * P
     k = np.empty((L, H, n_keys, d))
-    v = np.empty((L, H, n_keys, d))
+    v = np.empty((L, H, n_keys, d + 1))
     for l in range(L):
         context = selected[l] + state.local_window + tuple(frames)
         np.concatenate([f.k[l] for f in context], axis=1, out=k[l])
-        np.concatenate([f.v[l] for f in context], axis=1, out=v[l])
+        np.concatenate([f.v[l] for f in context], axis=1, out=v[l, :, :, :d])
+    v[..., d] = 1.0
     k = k.reshape(G, n_keys, d)
-    v = v.reshape(G, n_keys, d)
+    v = v.reshape(G, n_keys, d + 1)
+    bound = d * np.maximum(q_scaled.max(), -q_scaled.min()) * np.maximum(k.max(), -k.min())
+    shift = not bound <= UNSHIFTED_LOGIT_BOUND
     g = max(1, min(G, LOGIT_BLOCK_BYTES // (8 * P * n_keys)))  # float64 logits
     logits = np.empty(g * P * n_keys)
-    out_all = np.empty((T, G, P, d))
+    num = np.empty((T, G, P, d + 1))  # unnormalised outputs ++ row sums
     attended = 0
     for lo in range(0, G, g):
         hi = min(lo + g, G)
@@ -187,11 +201,12 @@ def step_chunk(
                 q_scaled[i, lo:hi], k[lo:hi, :n].transpose(0, 2, 1),
                 out=logits[: (hi - lo) * P * n].reshape(hi - lo, P, n),
             )
-            w -= w.max(axis=2, keepdims=True)
+            if shift:
+                w -= w.max(axis=2, keepdims=True)
             np.exp(w, out=w)
-            out = np.matmul(w, v[lo:hi, :n], out=out_all[i, lo:hi])
-            out /= w.sum(axis=2, keepdims=True)
+            np.matmul(w, v[lo:hi, :n], out=num[i, lo:hi])
             attended += (hi - lo) * P * n
+    out_all = num[..., :d] / num[..., d:]
     outputs = [out_all[:, l * H : (l + 1) * H] for l in range(L)]
     wall["attention"] = time.perf_counter() - t0
 

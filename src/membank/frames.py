@@ -23,8 +23,8 @@ __all__ = ["FrameKV", "MemoryBank", "bank_new", "bank_retain", "bank_append"]
 class FrameKV:
     """KV cache of a single latent frame across all layers and heads.
 
-    k and v are float64 arrays of shape [L, H, P, d]; P is tokens per
-    frame.
+    k and v are finite float64 arrays of shape [L, H, P, d]; P is tokens
+    per frame.
     """
 
     frame_id: int
@@ -38,6 +38,8 @@ class FrameKV:
             raise ShapeError(f"k shape {self.k.shape} != v shape {self.v.shape}")
         if self.k.shape[2] == 0:
             raise ShapeError("a frame needs at least one token")
+        if not (np.isfinite(self.k).all() and np.isfinite(self.v).all()):
+            raise ShapeError("frame k/v contain non-finite entries")
         self.k.setflags(write=False)
         self.v.setflags(write=False)
 

@@ -52,10 +52,10 @@ ODD_CFG = ModelConfig(
 )
 
 
-def record_steps(mode, cfg, topics=(0, 0, 1, 1, 0)):
+def record_steps(mode, cfg, topics=(0, 0, 1, 1, 0), noise_eps=0.05):
     """Step one chunk per entry of topics (the prompt follows the topic)
     and record (pre_state, chunk, state, result) per chunk."""
-    space = make_topic_space(2, cfg, 0.05)
+    space = make_topic_space(2, cfg, noise_eps)
     w = init_weights(cfg)
     state = initial_state(cfg, mode)
     steps = []
@@ -116,6 +116,27 @@ class TestEngineAgainstOracle:
     def test_attention_outputs_match_oracle(self, mode, cfg):
         w, steps = record_steps(mode, cfg)
         assert_matches_oracle(mode, cfg, w, steps)
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
+    def test_large_logits_take_the_shifted_path(self, mode):
+        # Token noise of 1e3 puts the logit bound far above
+        # UNSHIFTED_LOGIT_BOUND; without the max shift exp overflows.
+        w, steps = record_steps(mode, CFG, noise_eps=1e3)
+        for *_, res in steps:
+            assert all(np.isfinite(out).all() for out in res.attention_outputs)
+        assert_matches_oracle(mode, CFG, w, steps)
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
+    def test_forced_shift_keeps_outputs(self, mode, monkeypatch):
+        _, reference = record_steps(mode, CFG)
+        monkeypatch.setattr(engine, "UNSHIFTED_LOGIT_BOUND", 0.0)
+        _, steps = record_steps(mode, CFG)
+        for (*_, res), (*_, ref) in zip(steps, reference):
+            for out, want in zip(res.attention_outputs, ref.attention_outputs):
+                assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+            assert res.selected_frame_ids == ref.selected_frame_ids
+            assert res.retained_bank_ids == ref.retained_bank_ids
+            assert res.attended_key_count == ref.attended_key_count
 
 
 def full_window_keys(mode, cfg):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from membank.engine import Mode, initial_state, step_chunk
-from membank.errors import CapacityError, ConfigError
-from membank.frames import bank_append, bank_new, bank_retain
+from membank.errors import CapacityError, ConfigError, ShapeError
+from membank.frames import FrameKV, bank_append, bank_new, bank_retain
 from membank.metrics import chunk_digest
 from membank.oracles import random_frames
 from membank.toymodel import ModelConfig, encode_prompt, init_weights, make_topic_space, synth_chunk
@@ -144,3 +144,12 @@ def test_frame_arrays_read_only(rng):
     f = random_frames(rng, 1)[0]
     with pytest.raises(ValueError):
         f.k[0, 0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["k", "v"])
+def test_non_finite_kv_rejected(rng, bad, field):
+    arrays = {"k": rng.standard_normal((2, 2, 4, 8)), "v": rng.standard_normal((2, 2, 4, 8))}
+    arrays[field][1, 0, 2, 3] = bad
+    with pytest.raises(ShapeError):
+        FrameKV(frame_id=0, **arrays)
