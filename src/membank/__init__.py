@@ -5,7 +5,7 @@ and rollout harness for exercising them."""
 
 from .activation import ActivationSet, select_top_k
 from .engine import Mode, rollout, step_chunk
-from .frames import FrameKV, MemoryBank, bank_append, bank_new, bank_retain
+from .frames import FrameKV, MemoryBank
 from .metrics import RolloutMetrics, compute_metrics, run_ablation_grid
 from .retrieval import TextQuery, memory_update, text_relevance_scores
 from .script import NarrativeScript, Segment, parse_script
@@ -19,9 +19,6 @@ __all__ = [
     "step_chunk",
     "FrameKV",
     "MemoryBank",
-    "bank_append",
-    "bank_new",
-    "bank_retain",
     "RolloutMetrics",
     "compute_metrics",
     "run_ablation_grid",

@@ -3,7 +3,7 @@
 Commands:
   run     one rollout, JSON metrics to stdout or --out
   ablate  mode x capacity grid, CSV or JSON report
-  verify  built-in oracle checks (exit 2 on failure)
+  verify  acceptance criteria 1-4 and 9 (exit 2 on failure)
   bench   repeated timed runs per mode, median throughput and phase times
 
 Exit codes: 0 success, 1 validation failure, 2 verify/acceptance failure.
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=cmd_ablate)
 
-    sp = sub.add_parser("verify", help="run built-in oracle checks")
+    sp = sub.add_parser("verify", help="run acceptance criteria 1-4 and 9")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("bench", help="repeated timed runs per mode")

@@ -21,8 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .activation import ActivationSet, select_top_k, sma_scores
-from .errors import ScriptError
-from .frames import FrameKV, MemoryBank, bank_new
+from .frames import FrameKV, MemoryBank
 from .retrieval import TextQuery, memory_update
 from .script import NarrativeScript
 from .toymodel import (
@@ -100,8 +99,8 @@ class RolloutRun:
 
 def initial_state(cfg: ModelConfig, mode: Mode) -> RolloutState:
     return RolloutState(
-        sink=bank_new(cfg.frames_per_chunk),
-        bank=bank_new(cfg.bank_capacity),
+        sink=MemoryBank(cfg.frames_per_chunk),
+        bank=MemoryBank(cfg.bank_capacity),
         local_window=(),
         prev_chunk=(),
         mode=mode,
@@ -244,8 +243,6 @@ def rollout(
     The script's seed drives all synthesis; prompts switch at segment
     boundaries.
     """
-    if not script.segments:
-        raise ScriptError("empty script")
     cfg = replace(cfg, seed=script.seed)
     weights = init_weights(cfg)
     space = make_topic_space(script.num_topics, cfg, noise_eps)

@@ -14,7 +14,7 @@ class ConfigError(MembankError):
 
 
 class CapacityError(MembankError):
-    """An append would push a memory bank past its capacity."""
+    """A memory bank would hold more frames than its capacity."""
 
 
 class EmptyMemoryError(MembankError):

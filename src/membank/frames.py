@@ -8,15 +8,14 @@ chunk and filled once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, ConfigError, ShapeError
 
-__all__ = ["FrameKV", "MemoryBank", "bank_new", "bank_retain", "bank_append"]
+__all__ = ["FrameKV", "MemoryBank"]
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,10 @@ class FrameKV:
 
 @dataclass(frozen=True)
 class MemoryBank:
-    """Ordered, capacity-bounded collection of frames, oldest first."""
+    """Ordered, capacity-bounded collection of frames, oldest first.
+
+    Every bank, however built, holds at most `capacity` frames in strictly
+    increasing frame_id order; construction enforces both."""
 
     capacity: int
     frames: tuple[FrameKV, ...] = field(default_factory=tuple)
@@ -73,26 +75,4 @@ class MemoryBank:
 
     def __len__(self) -> int:
         return len(self.frames)
-
-
-def bank_new(capacity: int) -> MemoryBank:
-    return MemoryBank(capacity=capacity)
-
-
-def bank_retain(bank: MemoryBank, indices: Sequence[int]) -> MemoryBank:
-    """New bank holding exactly the indexed frames, original order kept."""
-    for i in indices:
-        if not 0 <= i < len(bank.frames):
-            raise IndexError(f"retain index {i} out of range for bank of {len(bank)}")
-    kept = tuple(bank.frames[i] for i in sorted(set(indices)))
-    return replace(bank, frames=kept)
-
-
-def bank_append(bank: MemoryBank, frame: FrameKV) -> MemoryBank:
-    """Append a frame at the end; callers must retain first if full."""
-    if len(bank) >= bank.capacity:
-        raise CapacityError(
-            f"bank already holds {len(bank)} of {bank.capacity} frames"
-        )
-    return replace(bank, frames=bank.frames + (frame,))
 

@@ -25,6 +25,7 @@ __all__ = [
     "sma_vs_full_l2",
     "compute_metrics",
     "run_ablation_grid",
+    "throughput_ordering",
     "metrics_to_json",
     "grid_to_csv",
 ]
@@ -152,22 +153,20 @@ def run_ablation_grid(
             m = compute_metrics(runs[0], full_run if mode is Mode.NAM_SMA else None)
             m = replace(m, chunks_per_second=cps)
             rows.append({"mode": mode.value, "bank_capacity": b, **metrics_to_dict(m)})
-    ordering = _throughput_ordering(rows)
-    return {"rows": rows, "throughput_ordering_ok": ordering}
+    cps_by_mode: dict[Mode, float] = {}
+    for row in rows:  # each mode's first capacity
+        cps_by_mode.setdefault(Mode(row["mode"]), row["chunks_per_second"])
+    return {"rows": rows, "throughput_ordering_ok": throughput_ordering(cps_by_mode)}
 
 
-def _throughput_ordering(rows) -> Optional[bool]:
+def throughput_ordering(cps_by_mode: dict[Mode, float]) -> Optional[bool]:
     """Check the qualitative speed order: no memory fastest, full bank
     slowest, gated in between; None when modes are missing."""
-    by_mode: dict[str, float] = {}
-    for row in rows:
-        by_mode.setdefault(row["mode"], row["chunks_per_second"])
-    needed = {m.value for m in (Mode.NO_MEMORY, Mode.FRAME_SINK, Mode.NAM_SMA, Mode.NAM_FULL)}
-    if not needed <= set(by_mode):
+    if not set(Mode) <= set(cps_by_mode):
         return None
     return (
-        by_mode[Mode.NO_MEMORY.value] > by_mode[Mode.NAM_SMA.value] > by_mode[Mode.NAM_FULL.value]
-        and by_mode[Mode.FRAME_SINK.value] > by_mode[Mode.NAM_SMA.value]
+        cps_by_mode[Mode.NO_MEMORY] > cps_by_mode[Mode.NAM_SMA] > cps_by_mode[Mode.NAM_FULL]
+        and cps_by_mode[Mode.FRAME_SINK] > cps_by_mode[Mode.NAM_SMA]
     )
 
 

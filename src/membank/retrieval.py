@@ -14,19 +14,18 @@ unchanged), so a saturated bank rests at exactly its capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .activation import select_top_k
 from .errors import EmptyMemoryError, ShapeError
-from .frames import FrameKV, MemoryBank, bank_append, bank_retain
+from .frames import FrameKV, MemoryBank
 
 __all__ = [
     "TextQuery",
     "text_relevance_scores",
-    "chunk_prototype",
     "memory_update",
 ]
 
@@ -69,18 +68,11 @@ def text_relevance_scores(query: TextQuery, bank: MemoryBank) -> np.ndarray:
     return per_frame.sum(axis=(0, 1)) / (layers * heads)
 
 
-def chunk_prototype(chunk_frames: Sequence[FrameKV]) -> FrameKV:
-    """Single-frame representative of a chunk: its first frame, unchanged."""
-    if not chunk_frames:
-        raise EmptyMemoryError("cannot take a prototype of an empty chunk")
-    return chunk_frames[0]
-
-
 def memory_update(
     bank: MemoryBank, query: TextQuery, prev_chunk: Sequence[FrameKV]
 ) -> tuple[MemoryBank, list[int]]:
     """Retain the most relevant frames, then append the previous chunk's
-    prototype.
+    prototype, its first frame unchanged.
 
     Retention is SMA's top-k rule (ties favor the later frame); an empty
     bank or a bank of capacity 1 retains nothing and is not scored.
@@ -88,10 +80,11 @@ def memory_update(
     The prototype is always the last element; the result never exceeds
     capacity.
     """
-    proto = chunk_prototype(prev_chunk)
+    if not prev_chunk:
+        raise EmptyMemoryError("cannot take a prototype of an empty chunk")
     keep = min(bank.capacity - 1, len(bank))
-    if keep == 0:
-        return bank_append(bank_retain(bank, ()), proto), []
-    scores = text_relevance_scores(query, bank)
-    trimmed = bank_retain(bank, select_top_k(scores, keep).indices)
-    return bank_append(trimmed, proto), [f.frame_id for f in trimmed.frames]
+    kept: tuple[FrameKV, ...] = ()
+    if keep:
+        indices = select_top_k(text_relevance_scores(query, bank), keep).indices
+        kept = tuple(bank.frames[i] for i in indices)
+    return replace(bank, frames=kept + (prev_chunk[0],)), [f.frame_id for f in kept]

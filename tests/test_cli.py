@@ -104,6 +104,33 @@ def test_verify_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_verify_failure_exits_2_and_runs_every_check(capsys, monkeypatch):
+    from membank import verify
+    from membank.errors import CapacityError
+
+    ran = []
+
+    def check(name, passed):
+        def fn():
+            ran.append(name)
+            return passed
+
+        return name, fn
+
+    def raises():
+        ran.append("raises")
+        raise CapacityError("4 frames exceed capacity 3")
+
+    monkeypatch.setattr(verify, "CHECKS", [check("fails", False), ("raises", raises), check("passes", True)])
+    assert main(["verify"]) == 2
+    assert ran == ["fails", "raises", "passes"]
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  fails",
+        "FAIL  raises (CapacityError: 4 frames exceed capacity 3)",
+        "PASS  passes",
+    ]
+
+
 def test_bench_runs(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tokens_per_frame": 4, "head_dim": 4}))

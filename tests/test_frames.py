@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -7,93 +7,93 @@ from hypothesis import strategies as st
 
 from membank.engine import Mode, initial_state, step_chunk
 from membank.errors import CapacityError, ConfigError, ShapeError
-from membank.frames import FrameKV, bank_append, bank_new, bank_retain
+from membank.frames import FrameKV, MemoryBank
 from membank.metrics import chunk_digest
 from membank.oracles import random_frames
+from membank.retrieval import TextQuery, memory_update
 from membank.toymodel import ModelConfig, encode_prompt, init_weights, make_topic_space, synth_chunk
 
 
 def test_bank_new_capacities():
-    assert bank_new(3).capacity == 3 and len(bank_new(3)) == 0
-    assert bank_new(9).capacity == 9
+    assert MemoryBank(3).capacity == 3 and len(MemoryBank(3)) == 0
+    assert MemoryBank(9).capacity == 9
 
 
 def test_bank_new_zero_capacity():
     with pytest.raises(ConfigError):
-        bank_new(0)
+        MemoryBank(0)
 
 
 class TestRetain:
-    def test_retain_all_is_identity(self, rng):
-        bank = bank_new(5)
-        for f in random_frames(rng, 3):
-            bank = bank_append(bank, f)
-        kept = bank_retain(bank, [0, 1, 2])
-        assert kept.frames == bank.frames
+    """Retention in `memory_update` keeps the bank's own frames, in bank
+    order."""
 
-    def test_retain_empty(self, rng):
-        bank = bank_new(5)
-        for f in random_frames(rng, 3):
-            bank = bank_append(bank, f)
-        assert len(bank_retain(bank, [])) == 0
+    def test_retain_all_is_identity(self, rng):
+        bank = MemoryBank(5, tuple(random_frames(rng, 3)))
+        query = TextQuery(rng.standard_normal((2, 2, 8)))
+        new_bank, retained = memory_update(bank, query, random_frames(rng, 2, start_id=9))
+        assert retained == [0, 1, 2]
+        assert all(a is b for a, b in zip(new_bank.frames[:3], bank.frames, strict=True))
 
     def test_retain_subset_keeps_order(self, rng):
-        bank = bank_new(5)
-        frames = random_frames(rng, 3)
-        for f in frames:
-            bank = bank_append(bank, f)
-        kept = bank_retain(bank, [0, 2])
-        assert [f.frame_id for f in kept.frames] == [frames[0].frame_id, frames[2].frame_id]
-
-    def test_retain_out_of_range(self, rng):
-        bank = bank_append(bank_new(2), random_frames(rng, 1)[0])
-        with pytest.raises(IndexError):
-            bank_retain(bank, [1])
-
-    def test_retain_composes(self, rng):
-        bank = bank_new(8)
-        for f in random_frames(rng, 5):
-            bank = bank_append(bank, f)
-        once = bank_retain(bank_retain(bank, [0, 2, 4]), [1, 2])
-        direct = bank_retain(bank, [2, 4])
-        assert once.frames == direct.frames
+        # frame 1 scores highest, then frame 0: the two are kept in bank
+        # order, not score order
+        frames = []
+        for i, magnitude in enumerate((2.0, 3.0, 1.0)):
+            k = np.zeros((2, 2, 4, 8))
+            k[..., 0] = magnitude
+            frames.append(FrameKV(i, k=k, v=np.zeros_like(k)))
+        query = np.zeros((2, 2, 8))
+        query[..., 0] = 4.0
+        chunk = random_frames(rng, 2, start_id=9)
+        new_bank, retained = memory_update(MemoryBank(3, tuple(frames)), TextQuery(query), chunk)
+        assert retained == [0, 1]
+        assert [f.frame_id for f in new_bank.frames] == [0, 1, 9]
 
 
 class TestAppend:
+    """A bank is only ever built whole, and construction enforces its
+    capacity and frame order."""
+
     def test_append_to_empty(self, rng):
-        bank = bank_append(bank_new(2), random_frames(rng, 1)[0])
-        assert len(bank) == 1
+        bank = MemoryBank(2)
+        bank = replace(bank, frames=bank.frames + (random_frames(rng, 1)[0],))
+        assert len(bank) == 1 and bank.capacity == 2
 
     def test_append_at_capacity_errors(self, rng):
-        bank = bank_new(1)
         f1, f2 = random_frames(rng, 2)
-        bank = bank_append(bank, f1)
+        bank = MemoryBank(1, (f1,))
         with pytest.raises(CapacityError):
-            bank_append(bank, f2)
+            replace(bank, frames=bank.frames + (f2,))
 
     def test_frame_id_order_enforced(self, rng):
         f1, f2 = random_frames(rng, 2)
-        bank = bank_append(bank_new(3), f2)
-        with pytest.raises(Exception):
-            bank_append(bank, f1)
+        bank = MemoryBank(3, (f2,))
+        for later in (f1, f2):  # an older frame, then the same frame again
+            with pytest.raises(ShapeError):
+                replace(bank, frames=bank.frames + (later,))
 
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 4)), max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_capacity_never_exceeded(self, ops):
-        # random interleavings of retain-prefix and append stay <= capacity
+        # random interleavings of keep-a-prefix and append: every bank that
+        # can be built stays <= capacity in id order, and an append to a
+        # full bank is refused
         rng = np.random.default_rng(1)
         cap = 3
-        bank = bank_new(cap)
+        bank = MemoryBank(cap)
         next_id = 0
         for do_append, arg in ops:
             if do_append:
-                if len(bank) >= cap:
-                    bank = bank_retain(bank, list(range(len(bank) - 1)))
-                bank = bank_append(bank, random_frames(rng, 1, start_id=next_id)[0])
+                frames = bank.frames + (random_frames(rng, 1, start_id=next_id)[0],)
                 next_id += 1
+                if len(frames) > cap:
+                    with pytest.raises(CapacityError):
+                        MemoryBank(cap, frames)
+                    frames = frames[1:]
             else:
-                keep = min(arg, len(bank))
-                bank = bank_retain(bank, list(range(keep)))
+                frames = bank.frames[: min(arg, len(bank))]
+            bank = replace(bank, frames=frames)
             assert len(bank) <= cap
             ids = [f.frame_id for f in bank.frames]
             assert ids == sorted(ids) and len(set(ids)) == len(ids)
@@ -128,7 +128,7 @@ class TestSink:
         step = stepper()
         state, _ = step(initial_state(CFG, Mode.FRAME_SINK), 0)
         with pytest.raises(CapacityError):
-            bank_append(state.sink, random_frames(rng, 1, start_id=99)[0])
+            replace(state.sink, frames=state.sink.frames + tuple(random_frames(rng, 1, start_id=99)))
         with pytest.raises(FrozenInstanceError):
             state.sink.frames = ()
 

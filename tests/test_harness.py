@@ -12,6 +12,7 @@ from membank.metrics import (
     retrieval_precision,
     run_ablation_grid,
     sma_vs_full_l2,
+    throughput_ordering,
 )
 from membank.script import NarrativeScript, Segment, parse_script
 from membank.toymodel import ModelConfig
@@ -144,7 +145,16 @@ class TestAblationGrid:
     def test_all_modes_one_capacity(self):
         report = run_ablation_grid(revisiting_script(), CFG, list(Mode), [3])
         assert len(report["rows"]) == 4
-        assert report["throughput_ordering_ok"] in (True, False)
+        cps = {Mode(r["mode"]): r["chunks_per_second"] for r in report["rows"]}
+        assert report["throughput_ordering_ok"] is throughput_ordering(cps)
+
+    def test_throughput_ordering_predicate(self):
+        cps = {Mode.NO_MEMORY: 4.0, Mode.FRAME_SINK: 3.0, Mode.NAM_SMA: 2.0, Mode.NAM_FULL: 1.0}
+        assert throughput_ordering(cps) is True
+        assert throughput_ordering({**cps, Mode.FRAME_SINK: 2.0}) is False  # the sink must beat SMA
+        assert throughput_ordering({**cps, Mode.NAM_FULL: 2.0}) is False
+        assert throughput_ordering({**cps, Mode.NO_MEMORY: 2.0}) is False
+        assert throughput_ordering({m: c for m, c in cps.items() if m is not Mode.FRAME_SINK}) is None
 
     def test_capacity_sweep_rows(self):
         report = run_ablation_grid(revisiting_script(), CFG, [Mode.NAM_FULL], [3, 6, 9])

@@ -5,18 +5,15 @@ from hypothesis import strategies as st
 
 from membank import retrieval
 from membank.errors import EmptyMemoryError, ShapeError
-from membank.frames import FrameKV, bank_append, bank_new
+from membank.frames import FrameKV, MemoryBank
 from membank.oracles import best_subset, random_frames, relevance_scores_loop
-from membank.retrieval import TextQuery, chunk_prototype, memory_update, text_relevance_scores
+from membank.retrieval import TextQuery, memory_update, text_relevance_scores
 
 L, H, P, D = 2, 2, 4, 8
 
 
 def make_bank(frames, capacity=8):
-    bank = bank_new(capacity)
-    for f in frames:
-        bank = bank_append(bank, f)
-    return bank
+    return MemoryBank(capacity, tuple(frames))
 
 
 def make_query(rng):
@@ -80,7 +77,7 @@ class TestRelevanceScores:
 
     def test_empty_bank_errors(self, rng):
         with pytest.raises(EmptyMemoryError):
-            text_relevance_scores(make_query(rng), bank_new(3))
+            text_relevance_scores(make_query(rng), MemoryBank(3))
 
 
 def planted_frame(frame_id, direction, magnitude):
@@ -134,28 +131,35 @@ class TestRetrieveTop:
 
 
 class TestChunkPrototype:
+    """`memory_update` appends the previous chunk's first frame, unchanged."""
+
+    def appended(self, rng, chunk):
+        bank = make_bank(random_frames(rng, 2, tokens=P), capacity=3)
+        new_bank, _ = memory_update(bank, make_query(rng), chunk)
+        return new_bank.frames[-1]
+
     def test_first_frame_of_chunk(self, rng):
-        chunk = random_frames(rng, 3, start_id=12)
-        assert chunk_prototype(chunk).frame_id == 12
+        chunk = random_frames(rng, 3, tokens=P, start_id=12)
+        assert self.appended(rng, chunk).frame_id == 12
 
     def test_single_frame_chunk(self, rng):
-        chunk = random_frames(rng, 1)
-        assert chunk_prototype(chunk) is chunk[0]
+        chunk = random_frames(rng, 1, tokens=P, start_id=5)
+        assert self.appended(rng, chunk) is chunk[0]
 
     def test_kv_bit_identical(self, rng):
-        chunk = random_frames(rng, 2)
-        proto = chunk_prototype(chunk)
+        chunk = random_frames(rng, 2, tokens=P, start_id=5)
+        proto = self.appended(rng, chunk)
         assert proto.k is chunk[0].k and proto.v is chunk[0].v
 
-    def test_empty_chunk_errors(self):
+    def test_empty_chunk_errors(self, rng):
         with pytest.raises(EmptyMemoryError):
-            chunk_prototype([])
+            memory_update(make_bank(random_frames(rng, 2, tokens=P)), make_query(rng), [])
 
 
 class TestMemoryUpdate:
     def test_empty_bank_becomes_prototype(self, rng):
         chunk = random_frames(rng, 3, tokens=P)
-        bank, retained = memory_update(bank_new(3), make_query(rng), chunk)
+        bank, retained = memory_update(MemoryBank(3), make_query(rng), chunk)
         assert len(bank) == 1 and retained == []
         assert bank.frames[0].frame_id == chunk[0].frame_id
 
@@ -167,7 +171,7 @@ class TestMemoryUpdate:
         bank = make_bank(random_frames(rng, 1, tokens=P), capacity=1)
         chunk = random_frames(rng, 3, tokens=P, start_id=5)
         new_bank, retained = memory_update(bank, make_query(rng), chunk)
-        assert new_bank.frames == (chunk_prototype(chunk),) and retained == []
+        assert new_bank.frames == (chunk[0],) and retained == []
 
     def test_full_bank_retains_top_scored(self, rng):
         # force frame 0 orthogonal (lowest score) so frames 1,2 are kept
@@ -189,7 +193,7 @@ class TestMemoryUpdate:
         assert tuple(retained) == best_subset(scores, 2)
 
     def test_capacity_saturation(self, rng):
-        bank = bank_new(3)
+        bank = MemoryBank(3)
         q = make_query(rng)
         for step in range(10):
             chunk = random_frames(rng, 3, tokens=P, start_id=step * 3)
@@ -198,7 +202,7 @@ class TestMemoryUpdate:
 
     def test_update_sequences_b3(self, rng):
         # growth over 6 chunks: length after each update = min(prev_len, b-1) + 1
-        bank = bank_new(3)
+        bank = MemoryBank(3)
         q = make_query(rng)
         expected_lengths = []
         prev_len = 0
@@ -216,7 +220,7 @@ class TestMemoryUpdate:
     @settings(max_examples=100, deadline=None)
     def test_never_exceeds_capacity_prototype_last(self, cap, steps, seed):
         rng = np.random.default_rng(seed)
-        bank = bank_new(cap)
+        bank = MemoryBank(cap)
         q = TextQuery(rng.standard_normal((1, 1, 4)))
         for step in range(steps):
             chunk = random_frames(rng, 2, layers=1, heads=1, tokens=2, dim=4, start_id=step * 2)

@@ -203,7 +203,7 @@ def test_planted_separability():
     # frozen after a noise sweep: with shared-base Q/K projections the
     # same-topic frame wins the relevance ranking for every noise level
     # tried up to 1.0; asserted here at the spec-level working point 0.1
-    from membank.frames import bank_append, bank_new
+    from membank.frames import MemoryBank
     from membank.retrieval import text_relevance_scores
 
     wins = 0
@@ -212,9 +212,7 @@ def test_planted_separability():
         cfg = ModelConfig(seed=s)
         space = make_topic_space(3, cfg, 0.1)
         w = init_weights(cfg)
-        bank = bank_new(8)
-        for t in range(3):
-            bank = bank_append(bank, project_kv(synth_chunk(t, t, cfg, space), cfg, w)[0])
+        bank = MemoryBank(8, tuple(project_kv(synth_chunk(t, t, cfg, space), cfg, w)[0] for t in range(3)))
         q = encode_prompt("a prompt about the planted subject", 0, cfg, space, w)
         wins += int(np.argmax(text_relevance_scores(q, bank)) == 0)
     assert wins >= 95
