@@ -4,7 +4,8 @@ Commands:
   run     one rollout, JSON metrics to stdout or --out
   ablate  mode x capacity grid, CSV or JSON report
   verify  acceptance criteria 1-4 and 9 (exit 2 on failure)
-  bench   repeated timed runs per mode, median throughput and phase times
+  bench   repeated timed runs, the modes taking turns: median throughput,
+          phase times and minor page faults per chunk
 
 Exit codes: 0 success, 1 validation failure, 2 verify/acceptance failure.
 The seed comes from the script; the --seed flag overrides it.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import resource
 import statistics
 import sys
 from pathlib import Path
@@ -27,7 +29,7 @@ from .metrics import (
     metrics_to_json,
     run_ablation_grid,
 )
-from .script import NarrativeScript, parse_script
+from .script import NarrativeScript, is_int, parse_script
 from .toymodel import ModelConfig
 from .verify import run_all_checks
 
@@ -44,11 +46,6 @@ def _read_json(path, what: str):
         raise ConfigError(f"{what} {path} is not UTF-8 JSON: {e}") from e
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass; a JSON true is not a count.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_config(path) -> ModelConfig:
     if path is None:
         return ModelConfig()
@@ -61,7 +58,7 @@ def load_config(path) -> ModelConfig:
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     for name, value in doc.items():
-        if not _is_int(value):
+        if not is_int(value):
             raise ConfigError(f"config field {name!r} must be an integer, got {value!r}")
     return ModelConfig(**doc)
 
@@ -79,7 +76,7 @@ def load_grid(path, cfg: ModelConfig) -> tuple[list[Mode], list[int]]:
     if not isinstance(names, list) or not all(isinstance(n, str) and n in MODE_NAMES for n in names):
         raise ConfigError(f"grid modes must be a list drawn from {list(MODE_NAMES)}, got {names!r}")
     b_values = doc.get("b_values", [cfg.bank_capacity])
-    if not isinstance(b_values, list) or not all(map(_is_int, b_values)):
+    if not isinstance(b_values, list) or not all(map(is_int, b_values)):
         raise ConfigError(f"grid b_values must be a list of integers, got {b_values!r}")
     return [MODE_NAMES[n] for n in names], b_values
 
@@ -162,20 +159,32 @@ def cmd_bench(args) -> int:
                 Segment(f"benchmark segment {i}", i % 3, 5) for i in range(4)
             ),
         )
-    # Beside the throughput, the median per-chunk wall time of each phase
-    # that step_chunk times, over every chunk of every repeat.
-    print(f"{'mode':<12}{'median chunks/s':>18}" + "".join(f"{name + ' ms':>20}" for name in BENCH_PHASES))
-    for mode in Mode:
-        cps = []
-        phase_ms = {name: [] for name in BENCH_PHASES}
-        for _ in range(args.repeat):
+    # Each repeat runs every mode once, so no mode takes all of the
+    # process's warm-up and each finds the heap as the others leave it.
+    # Beside the throughput: the median per-chunk wall time of each phase
+    # that step_chunk times, over every chunk of every repeat, and the
+    # median over repeats of the process's minor page faults per chunk.
+    cps = {mode: [] for mode in Mode}
+    faults = {mode: [] for mode in Mode}
+    phase_ms = {mode: {name: [] for name in BENCH_PHASES} for mode in Mode}
+    for _ in range(args.repeat):
+        for mode in Mode:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             run = rollout(script, cfg, mode, noise_eps=args.noise_eps)
-            cps.append(len(run.results) / run.elapsed_seconds)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            cps[mode].append(len(run.results) / run.elapsed_seconds)
+            faults[mode].append((after - before) / len(run.results))
             for res in run.results:
                 for name in BENCH_PHASES:
-                    phase_ms[name].append(1e3 * res.wall_time[name])
-        phases = "".join(f"{statistics.median(phase_ms[name]):>20.4f}" for name in BENCH_PHASES)
-        print(f"{mode.value:<12}{statistics.median(cps):>18.2f}{phases}")
+                    phase_ms[mode][name].append(1e3 * res.wall_time[name])
+    print(
+        f"{'mode':<12}{'median chunks/s':>18}"
+        + "".join(f"{name + ' ms':>20}" for name in BENCH_PHASES)
+        + f"{'minor faults/chunk':>20}"
+    )
+    for mode in Mode:
+        phases = "".join(f"{statistics.median(phase_ms[mode][name]):>20.4f}" for name in BENCH_PHASES)
+        print(f"{mode.value:<12}{statistics.median(cps[mode]):>18.2f}{phases}{statistics.median(faults[mode]):>20.1f}")
     return 0
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -54,6 +55,28 @@ LOGIT_BLOCK_BYTES = 256 * 1024
 # the numerator nor the row sum can overflow or underflow to zero. See
 # the README's "Attention" note.
 UNSHIFTED_LOGIT_BOUND = 64.0
+
+
+class _Workspace(threading.local):
+    """Each thread's attention buffers, one flat float64 array per name,
+    kept across chunks. A buffer grows to the largest chunk yet and never
+    shrinks."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+
+_workspace = _Workspace()
+
+
+def _scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An exact-size `shape` view of this thread's buffer `name`. Its
+    contents are left over from earlier chunks: write before reading."""
+    size = math.prod(shape)
+    buf = _workspace.buffers.get(name)
+    if buf is None or buf.size < size:
+        buf = _workspace.buffers[name] = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 class Mode(enum.Enum):
@@ -162,9 +185,12 @@ def step_chunk(
     # numpy calls, at large P one pair fills the block and a bigger one
     # would outgrow L2 cache. A block runs all T query frames before the
     # next block starts, so its pairs' K/V stay in cache across frames.
-    # The K/V, logit and output buffers are allocated once per chunk: at
-    # large P a fresh array per block costs more in page faults than the
-    # block's maths.
+    # The K/V, logit and output buffers are views of this thread's
+    # workspace (`_scratch`), shared by every block and kept across
+    # chunks. Freed after each chunk, buffers this size (about 0.8 MB
+    # each at P=64) let glibc trim the heap, and the next chunk faults
+    # the same pages in again: 200-430 minor faults per P=64, b=12
+    # `nam_full` chunk, against 0-1 with the kept buffers.
     # V carries a column of ones, so the value product also yields each
     # row's softmax sum and one divide per chunk normalises every row.
     # Since |q.k| <= d * max|q| * max|k|, the max shift that keeps exp
@@ -177,8 +203,8 @@ def step_chunk(
     # Every layer attends the same number of memory frames.
     n_keys = (len(selected[0]) + len(state.local_window) + T) * P
     n_ctx = n_keys - T * P
-    k = np.empty((L, H, n_keys, d))
-    v = np.empty((L, H, n_keys, d + 1))
+    k = _scratch("k", (L, H, n_keys, d))
+    v = _scratch("v", (L, H, n_keys, d + 1))
     for l in range(L):
         context = selected[l] + state.local_window + tuple(frames)
         np.concatenate([f.k[l] for f in context], axis=1, out=k[l])
@@ -189,8 +215,8 @@ def step_chunk(
     bound = d * np.maximum(q_scaled.max(), -q_scaled.min()) * np.maximum(k.max(), -k.min())
     shift = not bound <= UNSHIFTED_LOGIT_BOUND
     g = max(1, min(G, LOGIT_BLOCK_BYTES // (8 * P * n_keys)))  # float64 logits
-    logits = np.empty(g * P * n_keys)
-    num = np.empty((T, G, P, d + 1))  # unnormalised outputs ++ row sums
+    logits = _scratch("logits", (g * P * n_keys,))
+    num = _scratch("num", (T, G, P, d + 1))  # unnormalised outputs ++ row sums
     attended = 0
     for lo in range(0, G, g):
         hi = min(lo + g, G)
@@ -205,7 +231,7 @@ def step_chunk(
             np.exp(w, out=w)
             np.matmul(w, v[lo:hi, :n], out=num[i, lo:hi])
             attended += (hi - lo) * P * n
-    out_all = num[..., :d] / num[..., d:]
+    out_all = num[..., :d] / num[..., d:]  # a fresh array: no view of the workspace escapes
     outputs = [out_all[:, l * H : (l + 1) * H] for l in range(L)]
     wall["attention"] = time.perf_counter() - t0
 

@@ -12,7 +12,13 @@ from pathlib import Path
 
 from .errors import ScriptError
 
-__all__ = ["Segment", "NarrativeScript", "parse_script", "script_from_dict"]
+__all__ = ["Segment", "NarrativeScript", "is_int", "parse_script", "script_from_dict"]
+
+
+def is_int(value) -> bool:
+    """Whether a JSON value is an integer. bool is an int subclass, but a
+    JSON true is not a count, a seed or a topic."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,7 @@ def script_from_dict(doc: dict) -> NarrativeScript:
         raw_segments = doc["segments"]
     except KeyError as e:
         raise ScriptError(f"script is missing required field {e}") from e
-    if not isinstance(seed, int):
+    if not is_int(seed):
         raise ScriptError(f"seed must be an integer, got {type(seed).__name__}")
     if not isinstance(raw_segments, list) or not raw_segments:
         raise ScriptError("segments must be a nonempty list")
@@ -65,13 +71,15 @@ def script_from_dict(doc: dict) -> NarrativeScript:
     for i, raw in enumerate(raw_segments):
         if not isinstance(raw, dict):
             raise ScriptError(f"segment {i} must be an object")
-        for key, typ in (("prompt_text", str), ("topic", int), ("chunks", int)):
+        for key, typ, valid in (
+            ("prompt_text", "str", lambda x: isinstance(x, str)),
+            ("topic", "int", is_int),
+            ("chunks", "int", is_int),
+        ):
             if key not in raw:
                 raise ScriptError(f"segment {i} is missing field '{key}'")
-            if not isinstance(raw[key], typ):
-                raise ScriptError(
-                    f"segment {i} field '{key}' must be {typ.__name__}"
-                )
+            if not valid(raw[key]):
+                raise ScriptError(f"segment {i} field '{key}' must be {typ}")
         if raw["topic"] < 0:
             raise ScriptError(f"segment {i}: topic must be >= 0")
         if raw["chunks"] < 1:

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -98,10 +100,24 @@ def test_ablate_default_grid_prints_table(script_path, capsys):
     assert "mode" in out and "chunks/s" in out
 
 
-def test_verify_passes(capsys):
+def test_verify_passes(capsys, monkeypatch):
+    # The real checks are the acceptance suite's criteria 1-4 and 9, which
+    # tests/test_acceptance.py runs; here two passing stand-ins drive the
+    # command's exit-0 path.
+    from membank import verify
+
+    monkeypatch.setattr(verify, "CHECKS", [("first", lambda: True), ("second", lambda: True)])
     assert main(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+    assert capsys.readouterr().out.splitlines() == ["PASS  first", "PASS  second"]
+
+
+def test_verify_checks_are_the_acceptance_criteria():
+    from membank import verify
+
+    source = (Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8")
+    called = re.findall(r"verify\.(check_\w+)\(", source)
+    assert len(called) == len(set(called)) == 5
+    assert [fn for _, fn in verify.CHECKS] == [getattr(verify, name) for name in called]
 
 
 def test_verify_failure_exits_2_and_runs_every_check(capsys, monkeypatch):
@@ -138,12 +154,13 @@ def test_bench_runs(capsys, tmp_path):
     assert rc == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == [
-        "mode", "median", "chunks/s", "retrieval_update", "ms", "selection", "ms", "attention", "ms"
+        "mode", "median", "chunks/s", "retrieval_update", "ms", "selection", "ms", "attention", "ms",
+        "minor", "faults/chunk",
     ]
     assert [row.split()[0] for row in rows] == [m.value for m in Mode]
     for row in rows:
-        cps, retrieval, selection, attention = map(float, row.split()[1:])
-        assert cps > 0 and attention > 0 and retrieval >= 0 and selection >= 0
+        cps, retrieval, selection, attention, faults = map(float, row.split()[1:])
+        assert cps > 0 and attention > 0 and retrieval >= 0 and selection >= 0 and faults >= 0
 
 
 def test_bad_config_field(script_path, tmp_path, capsys):
@@ -207,6 +224,18 @@ def test_ablate_bad_grid_rejected(script_path, tmp_path, capsys, grid, word):
     path.write_text(json.dumps(grid))
     rc = main(["ablate", "--script", script_path, "--grid", str(path)])
     assert_one_error_line(rc, capsys, word)
+
+
+@pytest.mark.parametrize("field", ["seed", "topic", "chunks"])
+def test_script_boolean_is_not_an_integer(tmp_path, capsys, field):
+    doc = json.loads(json.dumps(SCRIPT))
+    if field == "seed":
+        doc["seed"] = True
+    else:
+        doc["segments"][0][field] = True
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert_one_error_line(main(["run", "--script", str(path)]), capsys, field)
 
 
 def test_run_script_directory_rejected(tmp_path, capsys):

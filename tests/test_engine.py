@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -68,9 +71,10 @@ def record_steps(mode, cfg, topics=(0, 0, 1, 1, 0), noise_eps=0.05):
     return w, steps
 
 
-def assert_matches_oracle(mode, cfg, w, steps):
+def assert_matches_oracle(mode, cfg, w, steps, rows=slice(None)):
     """Every layer, head and query frame of recorded steps against the
-    scalar-loop oracle at 1e-9, the intra-chunk causal prefix included."""
+    scalar-loop oracle at 1e-9, the intra-chunk causal prefix included.
+    `rows` picks the query tokens compared (all by default)."""
     T = cfg.frames_per_chunk
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for pre_state, chunk, state, res in steps:
@@ -95,8 +99,8 @@ def assert_matches_oracle(mode, cfg, w, steps):
             for i in range(T):
                 local = pre_state.local_window + tuple(frames[: i + 1])
                 for h in range(cfg.heads):
-                    want = full_memory_attention_oracle(queries[i, l, h], memory, local, l, h, scale)
-                    got = res.attention_outputs[l][i, h]
+                    want = full_memory_attention_oracle(queries[i, l, h][rows], memory, local, l, h, scale)
+                    got = res.attention_outputs[l][i, h][rows]
                     assert np.max(np.abs(got - np.array(want))) <= 1e-9
 
 
@@ -205,6 +209,68 @@ class TestLogitBlocks:
                 assert all(map(np.array_equal, res.attention_outputs, ref.attention_outputs))
                 assert res.attended_key_count == expected_key_count(cfg, len(res.selected_frame_ids[0]), window)
                 window = min(window + T, cfg.local_window)
+
+
+# The wide_frames benchmark geometry: its K, V, logit and output buffers
+# are the largest any test steps.
+WIDE_CFG = ModelConfig(tokens_per_frame=64, bank_capacity=12, sma_k=3, seed=3)
+
+
+def digests(steps):
+    return [chunk_digest(res) for *_, res in steps]
+
+
+def in_fresh_thread(fn, *args):
+    """fn(*args) on a new thread, whose attention workspace starts empty."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+class TestWorkspace:
+    """step_chunk keeps its attention buffers across calls, one set per
+    thread. No output may depend on what an earlier chunk, geometry or
+    another thread left in them."""
+
+    def test_outputs_survive_later_chunks(self):
+        for mode in Mode:
+            _, [(*_, res)] = record_steps(mode, CFG, topics=(0,))
+            kept = [out.copy() for out in res.attention_outputs]
+            record_steps(mode, CFG)
+            record_steps(mode, WIDE_CFG, topics=(0, 1))
+            assert all(map(np.array_equal, res.attention_outputs, kept))
+
+    def test_geometry_changes_match_runs_on_their_own(self):
+        # Wide, then smaller buffers of another shape (and another head
+        # dim), then wide again, all on one thread's workspace.
+        mode = Mode.NAM_FULL
+        sequence = [WIDE_CFG, CFG, ODD_CFG, WIDE_CFG]
+        topics = (0, 1, 1)
+        alone = {cfg: digests(in_fresh_thread(record_steps, mode, cfg, topics)[1]) for cfg in sequence}
+        for cfg in sequence:
+            w, steps = record_steps(mode, cfg, topics)
+            assert digests(steps) == alone[cfg]
+            # The scalar oracle takes seconds per wide (layer, head, frame);
+            # there it checks the first, a middle and the last query token.
+            rows = [0, 31, 63] if cfg is WIDE_CFG else slice(None)
+            assert_matches_oracle(mode, cfg, w, steps, rows)
+
+    def test_concurrent_threads_get_sequential_digests(self):
+        jobs = [(Mode.NAM_FULL, WIDE_CFG), (Mode.NAM_SMA, CFG), (Mode.NAM_FULL, ODD_CFG)]
+        want = [digests(record_steps(mode, cfg)[1]) for mode, cfg in jobs]
+        start = threading.Barrier(len(jobs))
+
+        def job(mode, cfg):
+            start.wait(timeout=60)
+            return [digests(record_steps(mode, cfg)[1]) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside chunks
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                got = [f.result(timeout=120) for f in [pool.submit(job, *j) for j in jobs]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[w] * 3 for w in want]
 
 
 @st.composite
