@@ -36,7 +36,7 @@ from .verify import run_all_checks
 MODE_NAMES = {m.value: m for m in Mode}
 
 # The step_chunk phases, as keyed in ChunkResult.wall_time, that bench reports.
-BENCH_PHASES = ("retrieval_update", "selection", "attention")
+BENCH_PHASES = ("retrieval_update", "projection", "selection", "attention")
 
 
 def _read_json(path, what: str):

@@ -46,9 +46,14 @@ __all__ = [
     "rollout",
 ]
 
-# Logit bytes one batched attention block may hold. 256 KiB keeps a block
-# well inside a 2 MiB L2 cache; see the README's "Attention" note.
-LOGIT_BLOCK_BYTES = 256 * 1024
+# Logit bytes one batched attention block may hold, along both axes: a
+# block takes as many (layer, head) pairs as fit, and a pair whose row of
+# logits alone exceeds it splits its key axis into slices that fit. 512
+# KiB keeps a block inside a 2 MiB L2 cache and, at P=64, splits only
+# rows above 1024 keys: from about 960 keys on one pair's value product
+# costs about 1.7 ns per logit, against 1.1 below; see the README's
+# "Attention" note.
+LOGIT_BLOCK_BYTES = 512 * 1024
 
 # Largest bound on |logit| at which a block skips the max shift: every
 # exp then lies in [e^-64, e^64], far inside float64's range, so neither
@@ -150,8 +155,10 @@ def step_chunk(
         bank, retained_ids = memory_update(bank, prompt, state.prev_chunk)
     wall["retrieval_update"] = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     frames = project_kv(chunk, cfg, weights)
     queries = project_queries(chunk, cfg, weights)  # [T, L, H, P, d]
+    wall["projection"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if mode is Mode.NO_MEMORY:
@@ -183,8 +190,11 @@ def step_chunk(
     # the intra-chunk causal mask is a slice. One batched block covers as
     # many pairs as fit LOGIT_BLOCK_BYTES of logits: at small P this saves
     # numpy calls, at large P one pair fills the block and a bigger one
-    # would outgrow L2 cache. A block runs all T query frames before the
-    # next block starts, so its pairs' K/V stay in cache across frames.
+    # would outgrow L2 cache. When one pair's row of logits alone exceeds
+    # the budget, each query frame splits its keys into `s` near-equal
+    # slices and adds each slice's value product into `num`. A block runs
+    # all T query frames before the next block starts, so its pairs' K/V
+    # stay in cache across frames.
     # The K/V, logit and output buffers are views of this thread's
     # workspace (`_scratch`), shared by every block and kept across
     # chunks. Freed after each chunk, buffers this size (about 0.8 MB
@@ -195,7 +205,9 @@ def step_chunk(
     # row's softmax sum and one divide per chunk normalises every row.
     # Since |q.k| <= d * max|q| * max|k|, the max shift that keeps exp
     # from overflowing runs only when that bound exceeds
-    # UNSHIFTED_LOGIT_BOUND (or is NaN).
+    # UNSHIFTED_LOGIT_BOUND (or is NaN). Shifted, the slices merge as in
+    # an online softmax: each slice shifts by the running row max `m`,
+    # and when a slice raises it the sum so far is rescaled to match.
     t0 = time.perf_counter()
     L, H, T, P, d = cfg.layers, cfg.heads, cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.head_dim
     G = L * H
@@ -214,22 +226,37 @@ def step_chunk(
     v = v.reshape(G, n_keys, d + 1)
     bound = d * np.maximum(q_scaled.max(), -q_scaled.min()) * np.maximum(k.max(), -k.min())
     shift = not bound <= UNSHIFTED_LOGIT_BOUND
-    g = max(1, min(G, LOGIT_BLOCK_BYTES // (8 * P * n_keys)))  # float64 logits
-    logits = _scratch("logits", (g * P * n_keys,))
+    row_keys = max(1, LOGIT_BLOCK_BYTES // (8 * P))  # keys whose float64 logits fit
+    g = max(1, min(G, row_keys // n_keys))  # pairs per block
+    s = -(-n_keys // row_keys)  # key slices per row; g = 1 when s > 1
+    logits = _scratch("logits", (g * P * min(n_keys, row_keys),))
     num = _scratch("num", (T, G, P, d + 1))  # unnormalised outputs ++ row sums
+    part = _scratch("part", (g, P, d + 1))  # a later slice's value product
     attended = 0
     for lo in range(0, G, g):
         hi = min(lo + g, G)
         for i in range(T):
             n = n_ctx + (i + 1) * P
-            w = np.matmul(
-                q_scaled[i, lo:hi], k[lo:hi, :n].transpose(0, 2, 1),
-                out=logits[: (hi - lo) * P * n].reshape(hi - lo, P, n),
-            )
-            if shift:
-                w -= w.max(axis=2, keepdims=True)
-            np.exp(w, out=w)
-            np.matmul(w, v[lo:hi, :n], out=num[i, lo:hi])
+            acc = num[i, lo:hi]
+            s_i = min(s, n)
+            for j in range(s_i):
+                a, b = j * n // s_i, (j + 1) * n // s_i
+                w = np.matmul(
+                    q_scaled[i, lo:hi], k[lo:hi, a:b].transpose(0, 2, 1),
+                    out=logits[: (hi - lo) * P * (b - a)].reshape(hi - lo, P, b - a),
+                )
+                if shift:
+                    m_new = w.max(axis=2, keepdims=True)
+                    if j:
+                        np.maximum(m_new, m, out=m_new)
+                        acc *= np.exp(m - m_new)
+                    m = m_new
+                    w -= m
+                np.exp(w, out=w)
+                if j:
+                    acc += np.matmul(w, v[lo:hi, a:b], out=part[: hi - lo])
+                else:
+                    np.matmul(w, v[lo:hi, a:b], out=acc)
             attended += (hi - lo) * P * n
     out_all = num[..., :d] / num[..., d:]  # a fresh array: no view of the workspace escapes
     outputs = [out_all[:, l * H : (l + 1) * H] for l in range(L)]

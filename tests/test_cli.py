@@ -154,13 +154,14 @@ def test_bench_runs(capsys, tmp_path):
     assert rc == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == [
-        "mode", "median", "chunks/s", "retrieval_update", "ms", "selection", "ms", "attention", "ms",
-        "minor", "faults/chunk",
+        "mode", "median", "chunks/s", "retrieval_update", "ms", "projection", "ms", "selection", "ms",
+        "attention", "ms", "minor", "faults/chunk",
     ]
     assert [row.split()[0] for row in rows] == [m.value for m in Mode]
     for row in rows:
-        cps, retrieval, selection, attention, faults = map(float, row.split()[1:])
-        assert cps > 0 and attention > 0 and retrieval >= 0 and selection >= 0 and faults >= 0
+        cps, retrieval, projection, selection, attention, faults = map(float, row.split()[1:])
+        assert cps > 0 and projection > 0 and attention > 0
+        assert retrieval >= 0 and selection >= 0 and faults >= 0
 
 
 def test_bad_config_field(script_path, tmp_path, capsys):

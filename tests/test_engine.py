@@ -155,65 +155,157 @@ def full_window_keys(mode, cfg):
     return (memory + cfg.local_window + T) * cfg.tokens_per_frame
 
 
-# Logit budgets per mode at the default geometry (G = 4 pairs): one pair
-# per block; all pairs in one block; and 3 pairs per block on full-window
-# chunks, which leaves a remainder block of 1 pair.
+def slice_budget(mode, cfg, slices):
+    """The logit budget that splits each full-window row into `slices`
+    key slices, one pair per block."""
+    return 8 * cfg.tokens_per_frame * -(-full_window_keys(mode, cfg) // slices)
+
+
+# Logit budgets per mode at the default geometry (G = 4 pairs), with the
+# pairs per block and key slices each gives on full-window chunks: one
+# pair per block; all pairs in one block; 3 pairs per block, which leaves
+# a remainder block of 1 pair; and one pair per block cut into 2 or 3
+# key slices.
 BLOCK_BUDGETS = {
-    "g1": lambda mode, cfg: 1,
-    "gG": lambda mode, cfg: 2**30,
-    "g3": lambda mode, cfg: 3 * 8 * cfg.tokens_per_frame * full_window_keys(mode, cfg),
+    "g1": (lambda mode, cfg: 8 * cfg.tokens_per_frame * full_window_keys(mode, cfg), [1, 1, 1, 1], 1),
+    "gG": (lambda mode, cfg: 2**30, [4], 1),
+    "g3": (lambda mode, cfg: 3 * 8 * cfg.tokens_per_frame * full_window_keys(mode, cfg), [3, 1], 1),
+    "s2": (lambda mode, cfg: slice_budget(mode, cfg, 2), [1, 1, 1, 1], 2),
+    "s3": (lambda mode, cfg: slice_budget(mode, cfg, 3), [1, 1, 1, 1], 3),
 }
-BLOCK_SIZES = {"g1": [1, 1, 1, 1], "gG": [4], "g3": [3, 1]}  # pairs per block, full window
 BLOCK_TOPICS = (0, 0, 1, 1, 0, 1)  # the window fills at chunk 2, the bank at chunk 3
 
 
 class MatmulSpy:
-    """Stands in for numpy inside the engine and records the number of
-    (layer, head) pairs in each batched product."""
+    """Stands in for numpy inside the engine and records, per batched
+    product, its (layer, head) pairs, the width of its output rows and
+    its output bytes. The engine's only matmuls are the attention
+    products, a logits product then its value product per key slice, so
+    the even-numbered calls are the logits."""
 
     def __init__(self):
-        self.pairs = []
+        self.calls = []
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def matmul(self, a, b, out):
-        self.pairs.append(a.shape[0])
+        self.calls.append((a.shape[0], out.shape[-1], out.nbytes))
         return np.matmul(a, b, out=out)
+
+    @property
+    def logits(self):
+        return self.calls[0::2]
+
+
+def full_window_calls(mode, cfg, block_sizes, slices):
+    """(pairs, row width) of each product on a full-window chunk: per
+    block and query frame, `slices` near-equal key slices of the frame's
+    causal prefix, each a logits product then a value product."""
+    P, T, d = cfg.tokens_per_frame, cfg.frames_per_chunk, cfg.head_dim
+    n_ctx = full_window_keys(mode, cfg) - T * P
+    calls = []
+    for g in block_sizes:
+        for i in range(T):
+            n = n_ctx + (i + 1) * P
+            for j in range(slices):
+                calls += [(g, (j + 1) * n // slices - j * n // slices), (g, d + 1)]
+    return calls
 
 
 class TestLogitBlocks:
     """The pairs-per-block rule changes the grouping of the attention
-    calls, never a byte of the output."""
+    calls, never a byte of the output; cutting the key axis into slices
+    changes only rounding."""
 
     @pytest.mark.parametrize("budget", list(BLOCK_BUDGETS))
     def test_budget_keeps_outputs(self, budget, monkeypatch):
         cfg = CFG
         assert cfg.layers * cfg.heads == 4
         T = cfg.frames_per_chunk
+        budget_bytes, block_sizes, slices = BLOCK_BUDGETS[budget]
         for mode in Mode:
             _, reference = record_steps(mode, cfg, BLOCK_TOPICS)
             spy = MatmulSpy()
-            monkeypatch.setattr(engine, "LOGIT_BLOCK_BYTES", BLOCK_BUDGETS[budget](mode, cfg))
+            monkeypatch.setattr(engine, "LOGIT_BLOCK_BYTES", budget_bytes(mode, cfg))
             monkeypatch.setattr(engine, "np", spy)
             w, steps = record_steps(mode, cfg, BLOCK_TOPICS)
             monkeypatch.undo()
             # The last chunk has a full window and, in the bank modes, a
-            # full bank. Each block runs T query frames, each with one
-            # matmul for the logits and one for the values.
-            last_chunk = [g for g in BLOCK_SIZES[budget] for _ in range(2 * T)]
-            assert spy.pairs[-len(last_chunk) :] == last_chunk
+            # full bank: slices x T logits products per block.
+            last_chunk = full_window_calls(mode, cfg, block_sizes, slices)
+            assert [c[:2] for c in spy.calls[-len(last_chunk) :]] == last_chunk
+            assert len(last_chunk) == 2 * slices * T * len(block_sizes)
             assert_matches_oracle(mode, cfg, w, steps)
             window = 0
             for (_, _, _, res), (_, _, _, ref) in zip(steps, reference):
-                assert all(map(np.array_equal, res.attention_outputs, ref.attention_outputs))
+                for out, want in zip(res.attention_outputs, ref.attention_outputs):
+                    if slices == 1:
+                        assert np.array_equal(out, want)
+                    else:
+                        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
                 assert res.attended_key_count == expected_key_count(cfg, len(res.selected_frame_ids[0]), window)
                 window = min(window + T, cfg.local_window)
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
+    def test_shifted_slices_match_oracle(self, mode, monkeypatch):
+        # Token noise of 1e3 forces the max shift (B ~ 1e6), and a budget
+        # of one frame of keys cuts every row into at least T = 3 slices,
+        # so later slices raise the running row max and the sum so far
+        # must be rescaled.
+        P = CFG.tokens_per_frame
+        spy = MatmulSpy()
+        monkeypatch.setattr(engine, "LOGIT_BLOCK_BYTES", 8 * P * P)
+        monkeypatch.setattr(engine, "np", spy)
+        w, steps = record_steps(mode, CFG, BLOCK_TOPICS, noise_eps=1e3)
+        monkeypatch.undo()
+        assert max(width for _, width, _ in spy.logits) <= P
+        assert len(spy.logits) >= 3 * CFG.frames_per_chunk * CFG.layers * CFG.heads * len(steps)
+        for *_, res in steps:
+            assert all(np.isfinite(out).all() for out in res.attention_outputs)
+        assert_matches_oracle(mode, CFG, w, steps)
 
 
 # The wide_frames benchmark geometry: its K, V, logit and output buffers
 # are the largest any test steps.
 WIDE_CFG = ModelConfig(tokens_per_frame=64, bank_capacity=12, sma_k=3, seed=3)
+WIDE_TOPICS = (0, 1) * 7  # the bank fills at chunk 13: 1536 keys per nam_full row
+
+
+class TestLogitBudget:
+    """Whenever one key column of logits fits the budget (8·P bytes), no
+    logits product exceeds it: a row longer than the budget is cut into
+    key slices instead of overshooting it as one pair."""
+
+    @pytest.mark.parametrize(
+        "cfg, topics, budget",
+        [
+            (CFG, BLOCK_TOPICS, None),
+            (CFG, BLOCK_TOPICS, 8 * CFG.tokens_per_frame),  # one key per slice
+            (CFG, BLOCK_TOPICS, 8 * CFG.tokens_per_frame * 7 + 5),  # not a multiple of a column
+            (WIDE_CFG, WIDE_TOPICS, None),
+            (WIDE_CFG, WIDE_TOPICS, 100_000),
+        ],
+        ids=["default", "default-one-key", "default-odd", "wide", "wide-odd"],
+    )
+    def test_no_logits_product_exceeds_budget(self, cfg, topics, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(engine, "LOGIT_BLOCK_BYTES", budget)
+        limit = engine.LOGIT_BLOCK_BYTES
+        assert 8 * cfg.tokens_per_frame <= limit
+        for mode in Mode:
+            spy = MatmulSpy()
+            monkeypatch.setattr(engine, "np", spy)
+            _, steps = record_steps(mode, cfg, topics)
+            monkeypatch.setattr(engine, "np", np)
+            assert max(nbytes for *_, nbytes in spy.logits) <= limit
+            if cfg is WIDE_CFG and mode is Mode.NAM_FULL:
+                # The last chunk attends a full bank and window, and one
+                # pair's row of logits there is larger than the budget.
+                res = steps[-1][3]
+                T = cfg.frames_per_chunk
+                assert res.attended_key_count == expected_key_count(cfg, T + cfg.bank_capacity, cfg.local_window)
+                assert 8 * cfg.tokens_per_frame * full_window_keys(mode, cfg) > limit
 
 
 def digests(steps):
