@@ -1,11 +1,18 @@
 """Relevance-gated sparse activation of memory frames.
 
 Each candidate frame is condensed to a per-layer key descriptor
-(`FrameKV.key_descriptor`: its keys pooled over tokens, then heads); the
-current chunk's queries are condensed the same way. The inner product of
-the two descriptors scores each frame, the top-k frames are kept, and the
+(`FrameKV.key_descriptor`: its layer's keys averaged over heads and
+tokens, computed once per frame and kept on it); the current chunk's
+queries are condensed the same way (`toymodel.query_descriptor`, which
+pools the chunk's tokens before the linear query projection, so no
+[T, L, H, P, d] reduction runs). The inner product of the two
+descriptors scores each frame, the top-k frames are kept, and the
 engine's attention runs over the KV of the kept frames only. Dropped
 attention mass is not renormalized beyond the softmax over the kept keys.
+
+A key descriptor depends on the frame's read-only keys alone, so keeping
+it is not state of the rollout: `step_chunk` stays a pure function of
+(state, prompt, chunk).
 """
 
 from __future__ import annotations
@@ -29,22 +36,23 @@ class ActivationSet:
     scores: tuple[float, ...]
 
 
-def sma_scores(queries: np.ndarray, pool: Sequence[FrameKV]) -> np.ndarray:
+def sma_scores(query_desc: np.ndarray, pool: Sequence[FrameKV]) -> np.ndarray:
     """Relevance [L, len(pool)] of each pool frame to a chunk, per layer.
 
-    queries is the chunk's [T, L, H, P, d] projection. Its descriptor is
-    the layer's queries pooled over frames and tokens, then heads; one
-    selection per (chunk, layer) is shared by the layer's heads.
+    query_desc is the chunk's [L, d] query descriptor: its queries
+    averaged over frames, heads and tokens (`toymodel.query_descriptor`).
+    One selection per (chunk, layer) is shared by the layer's heads.
     """
     if not pool:
         raise EmptyMemoryError("no candidate frames to score")
-    qd = queries.mean(axis=(0, 3)).mean(axis=1)  # [L, d]
     kd = np.array([f.key_descriptor for f in pool])  # [pool, L, d]
-    if kd.shape[1:] != qd.shape:
-        raise ShapeError(f"frame descriptors {kd.shape[1:]} do not match queries {qd.shape}")
+    if kd.shape[1:] != query_desc.shape:
+        raise ShapeError(
+            f"frame descriptors {kd.shape[1:]} do not match the query descriptor {query_desc.shape}"
+        )
     # Row-wise sums, not a BLAS product: equal descriptors (the sink's
     # first frame is also the bank's first prototype) must tie exactly.
-    return (kd * qd).sum(axis=2).T
+    return (kd * query_desc).sum(axis=2).T
 
 
 def select_top_k(scores: Sequence[float], k: int) -> ActivationSet:
@@ -54,8 +62,8 @@ def select_top_k(scores: Sequence[float], k: int) -> ActivationSet:
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    scores = [float(s) for s in scores]
-    k = min(k, len(scores))
-    ranked = sorted(range(len(scores)), key=lambda i: (-scores[i], -i))
+    scores = np.asarray(scores, dtype=np.float64).tolist()
+    # A stable sort of the indices, later first, by descending score.
+    ranked = sorted(range(len(scores) - 1, -1, -1), key=scores.__getitem__, reverse=True)
     picked = sorted(ranked[:k])
     return ActivationSet(tuple(picked), tuple(scores[i] for i in picked))

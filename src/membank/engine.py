@@ -33,6 +33,7 @@ from .toymodel import (
     make_topic_space,
     project_kv,
     project_queries,
+    query_descriptor,
     synth_chunk,
 )
 
@@ -113,6 +114,7 @@ class ChunkResult:
     wall_time: dict[str, float]
     retained_bank_ids: list[int]
     pre_update_bank_ids: list[int]
+    relevance_scores: list[float]  # aligned with pre_update_bank_ids; empty when not scored
     selected_frame_ids: list[list[int]]  # per layer
 
 
@@ -150,9 +152,11 @@ def step_chunk(
 
     pre_update_ids = [f.frame_id for f in bank.frames]
     retained_ids: list[int] = []
+    relevance: list[float] = []
     t0 = time.perf_counter()
     if mode.uses_bank and state.prev_chunk:
-        bank, retained_ids = memory_update(bank, prompt, state.prev_chunk)
+        bank, retained_ids, relevance_scores = memory_update(bank, prompt, state.prev_chunk)
+        relevance = relevance_scores.tolist()
     wall["retrieval_update"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -172,7 +176,7 @@ def step_chunk(
     selected: list[tuple[FrameKV, ...]] = [pool] * cfg.layers
     selected_ids: list[list[int]] = [[f.frame_id for f in pool]] * cfg.layers
     if mode is Mode.NAM_SMA and pool:
-        scores = sma_scores(queries, pool)
+        scores = sma_scores(query_descriptor(chunk, cfg, weights), pool)
         activation_sets = []
         selected = []
         selected_ids = []
@@ -273,6 +277,7 @@ def step_chunk(
         wall_time=wall,
         retained_bank_ids=retained_ids,
         pre_update_bank_ids=pre_update_ids,
+        relevance_scores=relevance,
         selected_frame_ids=selected_ids,
     )
     new_state = replace(

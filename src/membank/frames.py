@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -29,6 +30,8 @@ class FrameKV:
     frame_id: int
     k: np.ndarray
     v: np.ndarray
+    # relevance_lse's one-slot memo: (query, its [L * H] statistics).
+    _lse_memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k.ndim != 4 or self.v.ndim != 4:
@@ -39,17 +42,43 @@ class FrameKV:
             raise ShapeError("a frame needs at least one token")
         if not (np.isfinite(self.k).all() and np.isfinite(self.v).all()):
             raise ShapeError("frame k/v contain non-finite entries")
+        # A view's base can stay writable, and the kept descriptor and
+        # relevance statistics would go stale if the keys changed under
+        # them: a frame owns its arrays. project_kv's frames already do.
+        for name in ("k", "v"):
+            if not getattr(self, name).flags.owndata:
+                object.__setattr__(self, name, getattr(self, name).copy())
         self.k.setflags(write=False)
         self.v.setflags(write=False)
 
     @cached_property
     def key_descriptor(self) -> np.ndarray:
-        """Per-layer key descriptor [L, d]: keys pooled over tokens, then
-        heads. Computed on first use and kept, since a frame's keys never
-        change."""
-        desc = self.k.mean(axis=2).mean(axis=1)
+        """Per-layer key descriptor [L, d]: the layer's keys averaged over
+        heads and tokens, in one reduction. Computed on first use and kept,
+        since a frame's keys never change."""
+        _, heads, tokens, _ = self.k.shape
+        desc = np.einsum("lhpd->ld", self.k) / (heads * tokens)
         desc.setflags(write=False)
         return desc
+
+    def relevance_lse(self, query) -> np.ndarray:
+        """Log-sum-exp of this frame's key logits against a prompt, one per
+        (layer, head): log sum_p exp(k_p . q / sqrt(d)), flattened to
+        [L * H] so a bank's statistics stack with one concatenate.
+
+        query is a `retrieval.TextQuery` matching the frame's layers,
+        heads and head dim. The result is kept in a one-slot memo keyed on
+        the query object (`is`); both arrays are read-only, so it is a
+        pure function of (frame, query). Another query replaces the slot.
+        """
+        memo = self._lse_memo
+        if memo is not None and memo[0] is query:
+            return memo[1]
+        logits = (self.k @ query.scaled[..., None])[..., 0]  # [L, H, P]
+        lse = np.logaddexp.reduce(logits, axis=2).ravel()
+        lse.setflags(write=False)
+        object.__setattr__(self, "_lse_memo", (query, lse))
+        return lse
 
 
 @dataclass(frozen=True)

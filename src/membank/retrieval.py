@@ -7,6 +7,17 @@ one softmax, the weights are mean-pooled per frame, and the resulting
 per-frame scores are averaged over layers and heads. With equal tokens
 per frame the scores of a bank therefore sum to 1/P.
 
+A frame's share of one (layer, head) softmax depends on the other frames
+only through the joint normaliser, so each frame contributes its own
+log-sum-exp (`FrameKV.relevance_lse`) and the bank's scores merge them by
+log-sum-exp, as an online softmax merges key blocks. The frame keeps its
+statistics in a one-slot memo keyed on the `TextQuery` object, so within
+a segment (one prompt object) only the frame that entered since the last
+update is scored, and the bank is rescored when the prompt changes. The
+memo is a pure function of (frame, prompt), not state of the rollout:
+`step_chunk` stays a pure function of (state, prompt, chunk), and a saved
+state stepped with any prompt gives the same bits as a fresh copy.
+
 The bank update retains the top-scoring frames and appends a one-frame
 prototype of the chunk that was just generated (its first frame,
 unchanged), so a saturated bank rests at exactly its capacity.
@@ -14,7 +25,8 @@ unchanged), so a saturated bank rests at exactly its capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -41,13 +53,25 @@ class TextQuery:
             raise ShapeError("text query must be [L, H, d]")
         if not np.all(np.isfinite(self.q)):
             raise ShapeError("text query contains non-finite entries")
+        if not self.q.flags.owndata:  # frames key their relevance memo on this object
+            object.__setattr__(self, "q", self.q.copy())
         self.q.setflags(write=False)
+
+    @cached_property
+    def scaled(self) -> np.ndarray:
+        """q / sqrt(d), so that k . scaled is a relevance logit; computed
+        on first use and kept."""
+        scaled = self.q / np.sqrt(self.q.shape[2])
+        scaled.setflags(write=False)
+        return scaled
 
 
 def text_relevance_scores(query: TextQuery, bank: MemoryBank) -> np.ndarray:
     """Per-frame relevance of bank contents to the prompt query.
 
-    Returns one nonnegative score per bank frame, aligned with bank order.
+    Returns one nonnegative score per bank frame, aligned with bank order:
+    frame i's share exp(lse_i - logsumexp_j lse_j) of each (layer, head)
+    softmax, over its token count, averaged over layers and heads.
     """
     if len(bank) == 0:
         raise EmptyMemoryError("cannot score an empty memory bank")
@@ -57,34 +81,30 @@ def text_relevance_scores(query: TextQuery, bank: MemoryBank) -> np.ndarray:
         raise ShapeError(
             f"query [L,H,d]={query.q.shape} incompatible with frame kv {first.k.shape}"
         )
-    keys = np.concatenate([f.k for f in bank.frames], axis=2)  # [L, H, N, d]
-    logits = (keys @ query.q[..., None])[..., 0] / np.sqrt(d)  # [L, H, N]
-    logits -= logits.max(axis=2, keepdims=True)
-    weights = np.exp(logits)
-    weights /= weights.sum(axis=2, keepdims=True)
-    tokens_per_frame = np.array([f.k.shape[2] for f in bank.frames])
-    starts = np.cumsum(tokens_per_frame) - tokens_per_frame
-    per_frame = np.add.reduceat(weights, starts, axis=2) / tokens_per_frame  # [L, H, frames]
-    return per_frame.sum(axis=(0, 1)) / (layers * heads)
+    lse = np.concatenate([f.relevance_lse(query) for f in bank.frames]).reshape(len(bank), -1)
+    shares = np.exp(lse - np.logaddexp.reduce(lse, axis=0))  # each frame's softmax mass
+    return shares.sum(axis=1) / [f.k.shape[2] * layers * heads for f in bank.frames]
 
 
 def memory_update(
     bank: MemoryBank, query: TextQuery, prev_chunk: Sequence[FrameKV]
-) -> tuple[MemoryBank, list[int]]:
+) -> tuple[MemoryBank, list[int], np.ndarray]:
     """Retain the most relevant frames, then append the previous chunk's
     prototype, its first frame unchanged.
 
     Retention is SMA's top-k rule (ties favor the later frame); an empty
     bank or a bank of capacity 1 retains nothing and is not scored.
-    Returns the new bank and the retained frame_ids (oracle bookkeeping).
-    The prototype is always the last element; the result never exceeds
-    capacity.
+    Returns the new bank, the retained frame_ids (oracle bookkeeping) and
+    the relevance scores of the old bank's frames, in bank order (empty
+    when the bank was not scored). The prototype is always the last
+    element; the result never exceeds capacity.
     """
     if not prev_chunk:
         raise EmptyMemoryError("cannot take a prototype of an empty chunk")
     keep = min(bank.capacity - 1, len(bank))
     kept: tuple[FrameKV, ...] = ()
+    scores = np.empty(0)
     if keep:
-        indices = select_top_k(text_relevance_scores(query, bank), keep).indices
-        kept = tuple(bank.frames[i] for i in indices)
-    return replace(bank, frames=kept + (prev_chunk[0],)), [f.frame_id for f in kept]
+        scores = text_relevance_scores(query, bank)
+        kept = tuple(bank.frames[i] for i in select_top_k(scores, keep).indices)
+    return MemoryBank(bank.capacity, kept + (prev_chunk[0],)), [f.frame_id for f in kept], scores

@@ -100,7 +100,7 @@ def check_capacity_invariant() -> bool:
         q = TextQuery(rng.standard_normal((1, 1, 4)))
         for step in range(int(rng.integers(1, 12))):
             chunk = random_frames(rng, 2, layers=1, heads=1, tokens=2, dim=4, start_id=step * 2)
-            bank, _ = memory_update(bank, q, chunk)
+            bank, _, _ = memory_update(bank, q, chunk)
             updates += 1
             if len(bank) > cap or bank.frames[-1].frame_id != chunk[0].frame_id:
                 return False

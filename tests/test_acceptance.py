@@ -111,14 +111,18 @@ def test_criterion_7_throughput_ordering():
         segments=tuple(Segment(f"scene {i}", i % 3, 8) for i in range(5)),  # 40 chunks
     )
     # A process's first rollouts run several times slower, so every mode
-    # gets an untimed warm-up and the timed repeats go round-robin.
+    # gets an untimed warm-up and the timed repeats go round-robin, in
+    # reverse order on alternate repeats so no mode always runs first.
+    # Each rollout is timed in this process's CPU time, which other
+    # processes on the machine inflate less than wall time.
     for mode in Mode:
         rollout(script, cfg, mode)
     cps = {mode: [] for mode in Mode}
-    for _ in range(5):
-        for mode in Mode:
+    for repeat in range(5):
+        for mode in list(Mode)[:: 1 if repeat % 2 == 0 else -1]:
+            started = time.process_time()
             run = rollout(script, cfg, mode)
-            cps[mode].append(len(run.results) / run.elapsed_seconds)
+            cps[mode].append(len(run.results) / (time.process_time() - started))
     medians = {mode: float(np.median(v)) for mode, v in cps.items()}
     ok = throughput_ordering(medians)
     desc = ", ".join(f"{m.value}={medians[m]:.1f}" for m in Mode)

@@ -31,7 +31,7 @@ class TestRetain:
     def test_retain_all_is_identity(self, rng):
         bank = MemoryBank(5, tuple(random_frames(rng, 3)))
         query = TextQuery(rng.standard_normal((2, 2, 8)))
-        new_bank, retained = memory_update(bank, query, random_frames(rng, 2, start_id=9))
+        new_bank, retained, _ = memory_update(bank, query, random_frames(rng, 2, start_id=9))
         assert retained == [0, 1, 2]
         assert all(a is b for a, b in zip(new_bank.frames[:3], bank.frames, strict=True))
 
@@ -46,7 +46,7 @@ class TestRetain:
         query = np.zeros((2, 2, 8))
         query[..., 0] = 4.0
         chunk = random_frames(rng, 2, start_id=9)
-        new_bank, retained = memory_update(MemoryBank(3, tuple(frames)), TextQuery(query), chunk)
+        new_bank, retained, _ = memory_update(MemoryBank(3, tuple(frames)), TextQuery(query), chunk)
         assert retained == [0, 1]
         assert [f.frame_id for f in new_bank.frames] == [0, 1, 9]
 

@@ -1,13 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from membank import retrieval
+from membank.engine import Mode, initial_state, step_chunk
 from membank.errors import EmptyMemoryError, ShapeError
 from membank.frames import FrameKV, MemoryBank
+from membank.metrics import chunk_digest
 from membank.oracles import best_subset, random_frames, relevance_scores_loop
 from membank.retrieval import TextQuery, memory_update, text_relevance_scores
+from membank.toymodel import ModelConfig, encode_prompt, init_weights, make_topic_space, synth_chunk
 
 L, H, P, D = 2, 2, 4, 8
 
@@ -97,7 +102,7 @@ class TestRetrieveTop:
     def test_all_indices(self, rng):
         bank = make_bank(random_frames(rng, 3, tokens=P), capacity=4)
         chunk = random_frames(rng, 3, tokens=P, start_id=9)
-        _, retained = memory_update(bank, make_query(rng), chunk)
+        _, retained, _ = memory_update(bank, make_query(rng), chunk)
         assert retained == [0, 1, 2]
 
     def test_simple_top2(self, rng):
@@ -106,7 +111,7 @@ class TestRetrieveTop:
             [planted_frame(0, 0, 2.0), planted_frame(1, 1, 2.0), planted_frame(2, 0, 3.0)], capacity=3
         )
         chunk = random_frames(rng, 3, tokens=P, start_id=9)
-        _, retained = memory_update(bank, TextQuery(ALONG_0), chunk)
+        _, retained, _ = memory_update(bank, TextQuery(ALONG_0), chunk)
         assert retained == [0, 2]
 
     def test_recency_tie_break(self, rng):
@@ -114,7 +119,7 @@ class TestRetrieveTop:
         scores = text_relevance_scores(TextQuery(ALONG_0), bank)
         assert scores[0] == scores[1]
         chunk = random_frames(rng, 3, tokens=P, start_id=9)
-        _, retained = memory_update(bank, TextQuery(ALONG_0), chunk)
+        _, retained, _ = memory_update(bank, TextQuery(ALONG_0), chunk)
         assert retained == [1]
 
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 10_000))
@@ -124,7 +129,7 @@ class TestRetrieveTop:
         bank = make_bank(random_frames(rng, min(n, cap), tokens=P), capacity=cap)
         q = make_query(rng)
         chunk = random_frames(rng, 3, tokens=P, start_id=9)
-        _, retained = memory_update(bank, q, chunk)
+        _, retained, _ = memory_update(bank, q, chunk)
         keep = min(cap - 1, len(bank))
         want = best_subset(text_relevance_scores(q, bank), keep)
         assert retained == [bank.frames[i].frame_id for i in want]
@@ -135,7 +140,7 @@ class TestChunkPrototype:
 
     def appended(self, rng, chunk):
         bank = make_bank(random_frames(rng, 2, tokens=P), capacity=3)
-        new_bank, _ = memory_update(bank, make_query(rng), chunk)
+        new_bank, _, _ = memory_update(bank, make_query(rng), chunk)
         return new_bank.frames[-1]
 
     def test_first_frame_of_chunk(self, rng):
@@ -159,7 +164,7 @@ class TestChunkPrototype:
 class TestMemoryUpdate:
     def test_empty_bank_becomes_prototype(self, rng):
         chunk = random_frames(rng, 3, tokens=P)
-        bank, retained = memory_update(MemoryBank(3), make_query(rng), chunk)
+        bank, retained, _ = memory_update(MemoryBank(3), make_query(rng), chunk)
         assert len(bank) == 1 and retained == []
         assert bank.frames[0].frame_id == chunk[0].frame_id
 
@@ -170,7 +175,7 @@ class TestMemoryUpdate:
         monkeypatch.setattr(retrieval, "text_relevance_scores", refuse)
         bank = make_bank(random_frames(rng, 1, tokens=P), capacity=1)
         chunk = random_frames(rng, 3, tokens=P, start_id=5)
-        new_bank, retained = memory_update(bank, make_query(rng), chunk)
+        new_bank, retained, _ = memory_update(bank, make_query(rng), chunk)
         assert new_bank.frames == (chunk[0],) and retained == []
 
     def test_full_bank_retains_top_scored(self, rng):
@@ -184,7 +189,7 @@ class TestMemoryUpdate:
             frames.append(FrameKV(i, k=k, v=np.zeros_like(k)))
         bank = make_bank(frames, capacity=3)
         chunk = random_frames(rng, 3, tokens=P, start_id=9)
-        new_bank, retained = memory_update(bank, TextQuery(qvec), chunk)
+        new_bank, retained, _ = memory_update(bank, TextQuery(qvec), chunk)
         assert len(new_bank) == 3
         assert retained == [1, 2]
         assert new_bank.frames[-1].frame_id == 9
@@ -197,7 +202,7 @@ class TestMemoryUpdate:
         q = make_query(rng)
         for step in range(10):
             chunk = random_frames(rng, 3, tokens=P, start_id=step * 3)
-            bank, _ = memory_update(bank, q, chunk)
+            bank, _, _ = memory_update(bank, q, chunk)
         assert len(bank) == 3
 
     def test_update_sequences_b3(self, rng):
@@ -212,7 +217,7 @@ class TestMemoryUpdate:
         got = []
         for step in range(6):
             chunk = random_frames(rng, 3, tokens=P, start_id=step * 3)
-            bank, _ = memory_update(bank, q, chunk)
+            bank, _, _ = memory_update(bank, q, chunk)
             got.append(len(bank))
         assert got == expected_lengths == [1, 2, 3, 3, 3, 3]
 
@@ -224,6 +229,113 @@ class TestMemoryUpdate:
         q = TextQuery(rng.standard_normal((1, 1, 4)))
         for step in range(steps):
             chunk = random_frames(rng, 2, layers=1, heads=1, tokens=2, dim=4, start_id=step * 2)
-            bank, _ = memory_update(bank, q, chunk)
+            bank, _, _ = memory_update(bank, q, chunk)
             assert len(bank) <= cap
             assert bank.frames[-1].frame_id == chunk[0].frame_id
+
+
+class TestRelevanceMemo:
+    """A frame's relevance statistics are kept in a one-slot memo keyed on
+    the prompt object; the memo must never change a result."""
+
+    def test_one_slot_keyed_on_the_query_object(self, rng):
+        (f,) = random_frames(rng, 1, tokens=P)
+        q = make_query(rng)
+        first = f.relevance_lse(q)
+        assert f.relevance_lse(q) is first
+        equal = f.relevance_lse(TextQuery(q.q.copy()))  # equal values, another object
+        assert equal is not first and np.array_equal(equal, first)
+        f.relevance_lse(make_query(rng))
+        assert f.relevance_lse(q) is not first
+
+    def test_views_cannot_change_under_the_memo(self, rng):
+        # A frame and a query built on views own copies, so writing to the
+        # views' base arrays leaves the kept statistics true to their values.
+        kv, qs = rng.standard_normal((2, L, H, P, D)), rng.standard_normal((2, L, H, D))
+        f, q = FrameKV(0, k=kv[0], v=kv[1]), TextQuery(qs[0])
+        lse, desc = f.relevance_lse(q), f.key_descriptor.copy()
+        kv += 1.0
+        qs += 1.0
+        assert f.relevance_lse(q) is lse and np.array_equal(f.key_descriptor, desc)
+        fresh = FrameKV(0, k=f.k.copy(), v=f.v.copy())
+        assert np.array_equal(fresh.relevance_lse(TextQuery(q.q.copy())), lse)
+        assert np.array_equal(fresh.key_descriptor, desc)
+
+    def test_stats_alone_equal_stats_in_a_full_bank(self, rng):
+        frames = random_frames(rng, 6, tokens=P)
+        q = make_query(rng)
+        text_relevance_scores(q, make_bank(frames, capacity=6))
+        for f in frames:
+            alone = FrameKV(f.frame_id, k=f.k.copy(), v=f.v.copy())
+            text_relevance_scores(q, make_bank([alone]))
+            assert alone.relevance_lse(q).tobytes() == f.relevance_lse(q).tobytes()
+
+    def test_saved_state_stepped_with_two_prompts_matches_fresh_copies(self):
+        # The saved state's bank frames hold statistics for prompt A. Step
+        # it with prompt B, then with A again: each step must equal, bit
+        # for bit, the same step from a copy of the state whose frames are
+        # new objects with no statistics kept.
+        cfg = ModelConfig(seed=3, bank_capacity=4)
+        space = make_topic_space(2, cfg, 0.05)
+        w = init_weights(cfg)
+        prompt_a = encode_prompt("the first scene", 0, cfg, space, w)
+        prompt_b = encode_prompt("the second scene", 1, cfg, space, w)
+        state = initial_state(cfg, Mode.NAM_SMA)
+        for c in range(6):
+            state, _ = step_chunk(state, prompt_a, synth_chunk(c % 2, c, cfg, space), cfg, w)
+        chunk = synth_chunk(1, 6, cfg, space)
+        for prompt in (prompt_b, prompt_a):
+            got_state, got = step_chunk(state, prompt, chunk, cfg, w)
+            want_state, want = step_chunk(fresh_copy(state), prompt, chunk, cfg, w)
+            assert len(got.relevance_scores) == cfg.bank_capacity
+            assert got.relevance_scores == want.relevance_scores
+            assert chunk_digest(got) == chunk_digest(want)
+            assert [f.frame_id for f in got_state.bank.frames] == [f.frame_id for f in want_state.bank.frames]
+
+
+def fresh_copy(state):
+    """state rebuilt from new frame objects, which keep no statistics. A
+    frame held in several places (sink, bank, window, last chunk) stays one
+    object, as in the original."""
+    new: dict[int, FrameKV] = {}
+
+    def copy(frames):
+        for f in frames:
+            new.setdefault(f.frame_id, FrameKV(f.frame_id, k=f.k.copy(), v=f.v.copy()))
+        return tuple(new[f.frame_id] for f in frames)
+
+    return replace(
+        state,
+        sink=MemoryBank(state.sink.capacity, copy(state.sink.frames)),
+        bank=MemoryBank(state.bank.capacity, copy(state.bank.frames)),
+        local_window=copy(state.local_window),
+        prev_chunk=copy(state.prev_chunk),
+    )
+
+
+def test_trace_scores_match_scalar_oracle_across_prompt_switches():
+    # Criterion 3 along the engine path: on every chunk of a nam_full
+    # rollout whose prompt switches every third chunk, the scores kept in
+    # the chunk's record are the scalar oracle's for that chunk's prompt
+    # and pre-update bank, and sum to 1/P.
+    cfg = ModelConfig(seed=5, bank_capacity=4)
+    space = make_topic_space(3, cfg, 0.05)
+    w = init_weights(cfg)
+    state = initial_state(cfg, Mode.NAM_FULL)
+    scored = chunk_id = 0
+    for seg, topic in enumerate((0, 1, 2, 0, 1)):
+        prompt = encode_prompt(f"scene {seg} prompt", topic, cfg, space, w)
+        for _ in range(3):
+            pre_bank = state.bank
+            state, res = step_chunk(state, prompt, synth_chunk(topic, chunk_id, cfg, space), cfg, w)
+            chunk_id += 1
+            assert res.pre_update_bank_ids == [f.frame_id for f in pre_bank.frames]
+            if not pre_bank.frames:
+                assert res.relevance_scores == []
+                continue
+            got = np.array(res.relevance_scores)
+            want = np.array(relevance_scores_loop(prompt, pre_bank))
+            assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+            assert abs(got.sum() - 1.0 / cfg.tokens_per_frame) < 1e-9
+            scored += 1
+    assert scored == chunk_id - 2  # chunk 0 has no previous chunk; chunk 1 an empty bank
