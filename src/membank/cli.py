@@ -29,7 +29,7 @@ from .metrics import (
     metrics_to_json,
     run_ablation_grid,
 )
-from .script import NarrativeScript, is_int, parse_script
+from .script import NarrativeScript, is_int, parse_script, read_json
 from .toymodel import ModelConfig
 from .verify import run_all_checks
 
@@ -39,17 +39,8 @@ MODE_NAMES = {m.value: m for m in Mode}
 BENCH_PHASES = ("retrieval_update", "projection", "selection", "attention")
 
 
-def _read_json(path, what: str):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ConfigError(f"{what} {path} is not UTF-8 JSON: {e}") from e
-
-
 def load_config(path) -> ModelConfig:
-    if path is None:
-        return ModelConfig()
-    doc = _read_json(path, "config file")
+    doc = {} if path is None else read_json(path, ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
     # The seed is the script's (or --seed's), never the config file's.
@@ -64,9 +55,10 @@ def load_config(path) -> ModelConfig:
 
 
 def load_grid(path, cfg: ModelConfig) -> tuple[list[Mode], list[int]]:
-    """Modes and bank capacities of an ablation grid file; each field
-    defaults to its value without a grid."""
-    doc = _read_json(path, "grid file")
+    """Modes and bank capacities of an ablation grid file. A field the
+    file leaves out, or every field when path is None, defaults to all
+    modes and the config's bank capacity."""
+    doc = {} if path is None else read_json(path, ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError("grid file must hold a JSON object")
     unknown = set(doc) - {"modes", "b_values"}
@@ -115,11 +107,7 @@ def cmd_ablate(args) -> int:
     _check_repeat(args.repeat)
     script = _effective_script(parse_script(args.script), args.seed)
     cfg = load_config(args.config)
-    if args.grid:
-        modes, b_values = load_grid(args.grid, cfg)
-    else:
-        modes = list(Mode)
-        b_values = [cfg.bank_capacity]
+    modes, b_values = load_grid(args.grid, cfg)
     report = run_ablation_grid(script, cfg, modes, b_values, noise_eps=args.noise_eps, repeats=args.repeat)
     _print_grid_table(report)
     if args.out:

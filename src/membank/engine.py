@@ -173,19 +173,12 @@ def step_chunk(
         pool = state.sink.frames + bank.frames
 
     activation_sets: list[Optional[ActivationSet]] = [None] * cfg.layers
-    selected: list[tuple[FrameKV, ...]] = [pool] * cfg.layers
-    selected_ids: list[list[int]] = [[f.frame_id for f in pool]] * cfg.layers
     if mode is Mode.NAM_SMA and pool:
         scores = sma_scores(query_descriptor(chunk, cfg, weights), pool)
-        activation_sets = []
-        selected = []
-        selected_ids = []
-        for l in range(cfg.layers):
-            act = select_top_k(scores[l], cfg.sma_k)
-            activation_sets.append(act)
-            chosen = tuple(pool[i] for i in act.indices)
-            selected.append(chosen)
-            selected_ids.append([f.frame_id for f in chosen])
+        activation_sets = [select_top_k(scores[l], cfg.sma_k) for l in range(cfg.layers)]
+    # A layer without an activation set attends the whole pool.
+    selected = [pool if act is None else tuple(pool[i] for i in act.indices) for act in activation_sets]
+    selected_ids = [[f.frame_id for f in chosen] for chosen in selected]
     wall["selection"] = time.perf_counter() - t0
 
     # Every layer's K/V is assembled once into [L, H, N, d]: selected

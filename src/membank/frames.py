@@ -34,6 +34,13 @@ class FrameKV:
     _lse_memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # A frame owns read-only copies of its arrays: the kept descriptor
+        # and relevance statistics would go stale if the keys changed under
+        # them, and the caller's arrays stay as the caller left them.
+        for name in ("k", "v"):
+            arr = getattr(self, name).copy()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if self.k.ndim != 4 or self.v.ndim != 4:
             raise ShapeError("frame k/v must be [L, H, P, d] arrays")
         if self.k.shape != self.v.shape:
@@ -42,14 +49,6 @@ class FrameKV:
             raise ShapeError("a frame needs at least one token")
         if not (np.isfinite(self.k).all() and np.isfinite(self.v).all()):
             raise ShapeError("frame k/v contain non-finite entries")
-        # A view's base can stay writable, and the kept descriptor and
-        # relevance statistics would go stale if the keys changed under
-        # them: a frame owns its arrays. project_kv's frames already do.
-        for name in ("k", "v"):
-            if not getattr(self, name).flags.owndata:
-                object.__setattr__(self, name, getattr(self, name).copy())
-        self.k.setflags(write=False)
-        self.v.setflags(write=False)
 
     @cached_property
     def key_descriptor(self) -> np.ndarray:

@@ -49,13 +49,15 @@ class TextQuery:
     q: np.ndarray
 
     def __post_init__(self):
+        # Frames key their relevance memo on this object, so it owns a
+        # read-only copy of the caller's array.
+        q = self.q.copy()
+        q.setflags(write=False)
+        object.__setattr__(self, "q", q)
         if self.q.ndim != 3:
             raise ShapeError("text query must be [L, H, d]")
         if not np.all(np.isfinite(self.q)):
             raise ShapeError("text query contains non-finite entries")
-        if not self.q.flags.owndata:  # frames key their relevance memo on this object
-            object.__setattr__(self, "q", self.q.copy())
-        self.q.setflags(write=False)
 
     @cached_property
     def scaled(self) -> np.ndarray:

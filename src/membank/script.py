@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .errors import ScriptError
 
-__all__ = ["Segment", "NarrativeScript", "is_int", "parse_script", "script_from_dict"]
+__all__ = ["Segment", "NarrativeScript", "is_int", "parse_script", "read_json", "script_from_dict"]
 
 
 def is_int(value) -> bool:
@@ -92,13 +92,20 @@ def script_from_dict(doc: dict) -> NarrativeScript:
     return NarrativeScript(seed=seed, segments=tuple(segments))
 
 
-def parse_script(path) -> NarrativeScript:
+def read_json(path, error_class: type[Exception]):
+    """The JSON document in a UTF-8 file. Text that is not UTF-8, or not
+    JSON, raises error_class with a message naming the file and, for bad
+    JSON, the line."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as e:
-        raise ScriptError(f"{path}: not UTF-8 text: {e.reason}") from e
+        raise error_class(f"{path}: not UTF-8 text: {e.reason}") from e
     except json.JSONDecodeError as e:
-        raise ScriptError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+        raise error_class(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+
+
+def parse_script(path) -> NarrativeScript:
+    doc = read_json(path, ScriptError)
     try:
         return script_from_dict(doc)
     except ScriptError as e:

@@ -14,7 +14,7 @@ inputs stay aligned after projection.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -59,19 +59,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        counts = {
-            "layers": self.layers,
-            "heads": self.heads,
-            "head_dim": self.head_dim,
-            "tokens_per_frame": self.tokens_per_frame,
-            "frames_per_chunk": self.frames_per_chunk,
-            "local_window": self.local_window,
-            "bank_capacity": self.bank_capacity,
-            "sma_k": self.sma_k,
-        }
-        for name, value in counts.items():
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "seed" and value < 1:
+                raise ConfigError(f"{f.name} must be >= 1, got {value}")
         if self.sma_k > self.bank_capacity + self.frames_per_chunk:
             raise ConfigError(
                 f"sma_k={self.sma_k} exceeds bank+sink pool "
@@ -213,9 +204,9 @@ def synth_chunk(
 def project_kv(chunk: ChunkTokens, cfg: ModelConfig, weights: Weights) -> list[FrameKV]:
     """Per-frame K/V projections of a chunk's tokens, ids consecutive.
 
-    One matmul per weight projects the whole chunk; each frame then gets
-    its own copy, so a frame kept in the bank does not pin the chunk's
-    K/V block.
+    One matmul per weight projects the whole chunk; each `FrameKV` copies
+    its views, so a frame kept in the bank does not pin the chunk's K/V
+    block.
     """
     if chunk.frames.shape != (cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.model_dim):
         raise ShapeError(f"chunk token shape {chunk.frames.shape} does not match config")
@@ -223,11 +214,7 @@ def project_kv(chunk: ChunkTokens, cfg: ModelConfig, weights: Weights) -> list[F
     k = np.matmul(tokens, weights.wk)  # [T, L, H, P, d]
     v = np.matmul(tokens, weights.wv)
     return [
-        FrameKV(
-            frame_id=chunk.chunk_id * cfg.frames_per_chunk + t,
-            k=k[t].copy(),
-            v=v[t].copy(),
-        )
+        FrameKV(frame_id=chunk.chunk_id * cfg.frames_per_chunk + t, k=k[t], v=v[t])
         for t in range(cfg.frames_per_chunk)
     ]
 

@@ -9,9 +9,9 @@ from dataclasses import replace
 import numpy as np
 
 from membank import verify
-from membank.engine import Mode, initial_state, rollout, step_chunk
+from membank.engine import Mode, RolloutRun, initial_state, rollout, step_chunk
 from membank.frames import MemoryBank
-from membank.metrics import retrieval_precision, throughput_ordering
+from membank.metrics import determinism_hash, retrieval_precision, throughput_ordering
 from membank.script import NarrativeScript, Segment
 from membank.toymodel import (
     ModelConfig,
@@ -104,41 +104,62 @@ def test_criterion_6_sma_fidelity():
     report(6, ok, f"SMA(k=1) within 1e-3 of full memory attention; worst {worst:.2e}")
 
 
+# Criterion 7's geometry and script: P=64, b=12, k=3 over 40 chunks.
+C7_CFG = ModelConfig(tokens_per_frame=64, bank_capacity=12, sma_k=3)
+C7_SCRIPT = NarrativeScript(seed=7, segments=tuple(Segment(f"scene {i}", i % 3, 8) for i in range(5)))
+
+
 def test_criterion_7_throughput_ordering():
-    cfg = ModelConfig(tokens_per_frame=64, bank_capacity=12, sma_k=3)
-    script = NarrativeScript(
-        seed=7,
-        segments=tuple(Segment(f"scene {i}", i % 3, 8) for i in range(5)),  # 40 chunks
+    # The four modes step one stream, built as rollout builds it, chunk by
+    # chunk, in an order that rotates by chunk, and only their step_chunk
+    # calls are timed. Load from elsewhere on the machine then falls on
+    # every mode alike, where whole rollouts in turn could leave a burst
+    # on one mode. Synthesis and prompt encoding are shared, so leaving
+    # them out does not change the order. A process's first chunks run
+    # several times slower, so one untimed pass comes first; each mode's
+    # throughput is its median over 5 timed passes.
+    cfg = replace(C7_CFG, seed=C7_SCRIPT.seed)
+    weights = init_weights(cfg)
+    space = make_topic_space(C7_SCRIPT.num_topics, cfg, 0.05)
+    stream = []
+    for seg in C7_SCRIPT.segments:
+        prompt = encode_prompt(seg.prompt_text, seg.topic, cfg, space, weights)
+        for _ in range(seg.chunks):
+            stream.append((prompt, synth_chunk(seg.topic, len(stream), cfg, space)))
+    modes = list(Mode)
+    cps = {mode: [] for mode in modes}
+    for timed in (False,) + (True,) * 5:
+        states = {mode: initial_state(cfg, mode) for mode in modes}
+        results = {mode: [] for mode in modes}
+        seconds = dict.fromkeys(modes, 0.0)
+        for i, (prompt, chunk) in enumerate(stream):
+            for mode in modes[i % len(modes):] + modes[: i % len(modes)]:
+                started = time.perf_counter()
+                states[mode], res = step_chunk(states[mode], prompt, chunk, cfg, weights)
+                seconds[mode] += time.perf_counter() - started
+                results[mode].append(res)
+        if timed:
+            for mode in modes:
+                cps[mode].append(len(stream) / seconds[mode])
+    same = all(
+        determinism_hash(RolloutRun(mode, cfg, C7_SCRIPT, results[mode], 0.0))
+        == determinism_hash(rollout(C7_SCRIPT, C7_CFG, mode))
+        for mode in modes
     )
-    # A process's first rollouts run several times slower, so every mode
-    # gets an untimed warm-up and the timed repeats go round-robin, in
-    # reverse order on alternate repeats so no mode always runs first.
-    # Each rollout is timed in this process's CPU time, which other
-    # processes on the machine inflate less than wall time.
-    for mode in Mode:
-        rollout(script, cfg, mode)
-    cps = {mode: [] for mode in Mode}
-    for repeat in range(5):
-        for mode in list(Mode)[:: 1 if repeat % 2 == 0 else -1]:
-            started = time.process_time()
-            run = rollout(script, cfg, mode)
-            cps[mode].append(len(run.results) / (time.process_time() - started))
     medians = {mode: float(np.median(v)) for mode, v in cps.items()}
     ok = throughput_ordering(medians)
     desc = ", ".join(f"{m.value}={medians[m]:.1f}" for m in Mode)
-    report(7, ok, f"throughput ordering holds ({desc} chunks/s)")
+    report(7, same and ok, f"throughput ordering holds ({desc} chunks/s), interleaved steps hash as rollouts")
 
 
 def test_criterion_7_attended_key_ordering():
     # The machine-independent side of criterion 7, on its geometry and
     # script: mean attended keys per chunk. frame_sink and nam_sma tie,
     # because sma_k equals the sink size.
-    cfg = ModelConfig(tokens_per_frame=64, bank_capacity=12, sma_k=3)
-    script = NarrativeScript(
-        seed=7,
-        segments=tuple(Segment(f"scene {i}", i % 3, 8) for i in range(5)),  # 40 chunks
-    )
-    keys = {mode: float(np.mean([r.attended_key_count for r in rollout(script, cfg, mode).results])) for mode in Mode}
+    keys = {
+        mode: float(np.mean([r.attended_key_count for r in rollout(C7_SCRIPT, C7_CFG, mode).results]))
+        for mode in Mode
+    }
     ok = keys[Mode.NO_MEMORY] < keys[Mode.FRAME_SINK] <= keys[Mode.NAM_SMA] < keys[Mode.NAM_FULL]
     desc = ", ".join(f"{m.value}={keys[m]:.0f}" for m in Mode)
     report(7, ok, f"attended-key ordering holds ({desc} keys/chunk)")

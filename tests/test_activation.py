@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from membank.activation import select_top_k, sma_scores
 from membank.engine import Mode, initial_state, step_chunk
@@ -115,6 +116,42 @@ class TestDescriptors:
     def test_cached(self, rng):
         (f,) = random_frames(rng, 1)
         assert f.key_descriptor is f.key_descriptor
+
+
+finite_matrices = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    elements=st.floats(-50, 50),
+)
+
+
+def pooled(rows):
+    """Key descriptor of a one-layer, one-head frame with these token rows."""
+    k = np.asarray(rows, dtype=np.float64)[None, None]
+    return frame(k).key_descriptor[0]
+
+
+class TestMeanPoolRows:
+    def test_single_row(self):
+        r = [1.0, 2.0, 3.0]
+        assert pooled([r]).tolist() == r
+
+    def test_equal_rows(self):
+        r = [2.0, -1.0]
+        assert pooled([r, r, r]).tolist() == r
+
+    def test_small_case(self):
+        assert pooled([[1, 3], [5, 7]]).tolist() == [3.0, 5.0]
+
+    def test_empty_errors(self):
+        with pytest.raises(ShapeError):
+            pooled(np.empty((0, 3)))
+
+    @given(finite_matrices)
+    @settings(max_examples=50, deadline=None)
+    def test_permutation_invariant(self, m):
+        perm = np.arange(m.shape[0])[::-1]
+        assert np.allclose(pooled(m), pooled(m[perm]), atol=1e-12)
 
 
 class TestRelevance:

@@ -167,7 +167,8 @@ def test_bench_runs(capsys, tmp_path):
 def test_bad_config_field(script_path, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
-    assert main(["run", "--script", script_path, "--config", str(cfg)]) == 1
+    rc = main(["run", "--script", script_path, "--config", str(cfg)])
+    assert_one_error_line(rc, capsys, "unknown config fields", "bogus")
 
 
 def test_config_seed_rejected(script_path, tmp_path, capsys):
@@ -189,8 +190,8 @@ def test_config_field_must_be_integer(script_path, tmp_path, capsys, value):
 def test_config_must_be_object(script_path, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps([["layers", 2]]))
-    assert main(["run", "--script", script_path, "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    rc = main(["run", "--script", script_path, "--config", str(cfg)])
+    assert_one_error_line(rc, capsys, "object")
 
 
 @pytest.mark.parametrize("command", ["ablate", "bench"])
@@ -225,6 +226,19 @@ def test_ablate_bad_grid_rejected(script_path, tmp_path, capsys, grid, word):
     path.write_text(json.dumps(grid))
     rc = main(["ablate", "--script", script_path, "--grid", str(path)])
     assert_one_error_line(rc, capsys, word)
+
+
+@pytest.mark.parametrize("command, flag", [("run", "--config"), ("ablate", "--grid")])
+@pytest.mark.parametrize(
+    "content, words",
+    [(b"\xff\xfe", ["not UTF-8"]), (b'{"layers": 2,\n', ["invalid JSON", "line 2"])],
+    ids=["not_utf8", "bad_json"],
+)
+def test_unreadable_config_or_grid_file_rejected(script_path, tmp_path, capsys, command, flag, content, words):
+    path = tmp_path / "file.json"
+    path.write_bytes(content)
+    rc = main([command, "--script", script_path, flag, str(path)])
+    assert_one_error_line(rc, capsys, str(path), *words)
 
 
 @pytest.mark.parametrize("field", ["seed", "topic", "chunks"])

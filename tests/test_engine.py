@@ -437,6 +437,13 @@ class TestStepChunk:
         for res in results:
             assert res.selected_frame_ids == [[] for _ in range(CFG.layers)]
 
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_each_layer_owns_its_selected_ids(self, mode):
+        # Appending to one layer's record must leave the others as they are.
+        _, results = run_steps(mode, 4)
+        for res in results:
+            assert len({id(ids) for ids in res.selected_frame_ids}) == CFG.layers
+
     def test_sink_set_after_first_chunk(self):
         assert len(initial_state(CFG, Mode.FRAME_SINK).sink) == 0
         state, _ = run_steps(Mode.FRAME_SINK, 1)

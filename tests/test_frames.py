@@ -146,6 +146,16 @@ def test_frame_arrays_read_only(rng):
         f.k[0, 0, 0, 0] = 1.0
 
 
+def test_frame_and_query_copy_the_callers_arrays(rng):
+    k, v, q = rng.standard_normal((2, 2, 4, 8)), rng.standard_normal((2, 2, 4, 8)), rng.standard_normal((2, 2, 8))
+    before = [a.copy() for a in (k, v, q)]
+    f, query = FrameKV(0, k, v), TextQuery(q)
+    for passed, kept, was in zip((k, v, q), (f.k, f.v, query.q), before):
+        assert passed.flags.writeable and np.array_equal(passed, was)
+        assert kept is not passed and not np.shares_memory(kept, passed)
+        assert not kept.flags.writeable and np.array_equal(kept, was)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("field", ["k", "v"])
 def test_non_finite_kv_rejected(rng, bad, field):

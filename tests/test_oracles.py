@@ -1,7 +1,6 @@
-"""The attention and pooling maths the checks rest on: the scalar-loop
-attention oracle (`membank.oracles.sdp_attention_loop`), against hand
-cases and a numpy softmax, and the token pooling of a frame's key
-descriptor."""
+"""The attention maths the checks rest on: the scalar-loop attention
+oracle (`membank.oracles.sdp_attention_loop`), against hand cases and a
+numpy softmax."""
 
 import math
 
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from membank.errors import ShapeError
-from membank.frames import FrameKV
 from membank.oracles import sdp_attention_loop
 
 finite_matrices = arrays(
@@ -34,12 +32,6 @@ def sdp_attention_numpy(q, k, v, scale):
     logits = q @ k.T * scale
     w = np.exp(logits - logits.max(axis=1, keepdims=True))
     return (w / w.sum(axis=1, keepdims=True)) @ v
-
-
-def pooled(rows):
-    """Key descriptor of a one-layer, one-head frame with these token rows."""
-    k = np.asarray(rows, dtype=np.float64)[None, None]
-    return FrameKV(0, k=k, v=np.zeros_like(k)).key_descriptor[0]
 
 
 class TestSoftmaxRows:
@@ -64,29 +56,6 @@ class TestSoftmaxRows:
     def test_large_values_stable(self):
         got = softmax_rows([[1000.0, 1000.0]])
         assert np.allclose(got, [[0.5, 0.5]])
-
-
-class TestMeanPoolRows:
-    def test_single_row(self):
-        r = [1.0, 2.0, 3.0]
-        assert pooled([r]).tolist() == r
-
-    def test_equal_rows(self):
-        r = [2.0, -1.0]
-        assert pooled([r, r, r]).tolist() == r
-
-    def test_small_case(self):
-        assert pooled([[1, 3], [5, 7]]).tolist() == [3.0, 5.0]
-
-    def test_empty_errors(self):
-        with pytest.raises(ShapeError):
-            pooled(np.empty((0, 3)))
-
-    @given(finite_matrices)
-    @settings(max_examples=50, deadline=None)
-    def test_permutation_invariant(self, m):
-        perm = np.arange(m.shape[0])[::-1]
-        assert np.allclose(pooled(m), pooled(m[perm]), atol=1e-12)
 
 
 class TestSdpAttention:
