@@ -40,36 +40,44 @@ BENCH_PHASES = ("retrieval_update", "projection", "selection", "attention")
 
 
 def load_config(path) -> ModelConfig:
+    """The model config in a JSON file, or the defaults when path is None.
+    A schema error, or one of ModelConfig's own checks, names the file."""
     doc = {} if path is None else read_json(path, ConfigError)
-    if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a JSON object")
-    # The seed is the script's (or --seed's), never the config file's.
-    known = {f.name for f in dataclasses.fields(ModelConfig)} - {"seed"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    for name, value in doc.items():
-        if not is_int(value):
-            raise ConfigError(f"config field {name!r} must be an integer, got {value!r}")
-    return ModelConfig(**doc)
+    try:
+        if not isinstance(doc, dict):
+            raise ConfigError("config file must hold a JSON object")
+        # The seed is the script's (or --seed's), never the config file's.
+        known = {f.name for f in dataclasses.fields(ModelConfig)} - {"seed"}
+        unknown = set(doc) - known
+        if unknown:
+            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in doc.items():
+            if not is_int(value):
+                raise ConfigError(f"config field {name!r} must be an integer, got {value!r}")
+        return ModelConfig(**doc)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def load_grid(path, cfg: ModelConfig) -> tuple[list[Mode], list[int]]:
     """Modes and bank capacities of an ablation grid file. A field the
     file leaves out, or every field when path is None, defaults to all
-    modes and the config's bank capacity."""
+    modes and the config's bank capacity. A schema error names the file."""
     doc = {} if path is None else read_json(path, ConfigError)
-    if not isinstance(doc, dict):
-        raise ConfigError("grid file must hold a JSON object")
-    unknown = set(doc) - {"modes", "b_values"}
-    if unknown:
-        raise ConfigError(f"unknown grid fields: {sorted(unknown)}")
-    names = doc.get("modes", list(MODE_NAMES))
-    if not isinstance(names, list) or not all(isinstance(n, str) and n in MODE_NAMES for n in names):
-        raise ConfigError(f"grid modes must be a list drawn from {list(MODE_NAMES)}, got {names!r}")
-    b_values = doc.get("b_values", [cfg.bank_capacity])
-    if not isinstance(b_values, list) or not all(map(is_int, b_values)):
-        raise ConfigError(f"grid b_values must be a list of integers, got {b_values!r}")
+    try:
+        if not isinstance(doc, dict):
+            raise ConfigError("grid file must hold a JSON object")
+        unknown = set(doc) - {"modes", "b_values"}
+        if unknown:
+            raise ConfigError(f"unknown grid fields: {sorted(unknown)}")
+        names = doc.get("modes", list(MODE_NAMES))
+        if not isinstance(names, list) or not all(isinstance(n, str) and n in MODE_NAMES for n in names):
+            raise ConfigError(f"grid modes must be a list drawn from {list(MODE_NAMES)}, got {names!r}")
+        b_values = doc.get("b_values", [cfg.bank_capacity])
+        if not isinstance(b_values, list) or not all(map(is_int, b_values)):
+            raise ConfigError(f"grid b_values must be a list of integers, got {b_values!r}")
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
     return [MODE_NAMES[n] for n in names], b_values
 
 

@@ -181,8 +181,13 @@ def step_chunk(
     selected_ids = [[f.frame_id for f in chosen] for chosen in selected]
     wall["selection"] = time.perf_counter() - t0
 
-    # Every layer's K/V is assembled once into [L, H, N, d]: selected
-    # memory ++ window ++ the new chunk, viewed as L*H (layer, head) pairs.
+    # Every layer's context is assembled once per chunk, selected memory
+    # ++ window ++ the new chunk, with K stored keys-last as [L, H, d, N]
+    # so the logits product reads it untransposed, and V as [L, H, N, d+1];
+    # both are viewed as L*H (layer, head) pairs. The window and the chunk
+    # end every layer's context, so they are copied for all layers in one
+    # concatenate per buffer; only the memory frames, which SMA selects
+    # per layer, are copied layer by layer.
     # Query frame i attends to the prefix that ends with its own frame, so
     # the intra-chunk causal mask is a slice. One batched block covers as
     # many pairs as fit LOGIT_BLOCK_BYTES of logits: at small P this saves
@@ -202,26 +207,34 @@ def step_chunk(
     # row's softmax sum and one divide per chunk normalises every row.
     # Since |q.k| <= d * max|q| * max|k|, the max shift that keeps exp
     # from overflowing runs only when that bound exceeds
-    # UNSHIFTED_LOGIT_BOUND (or is NaN). Shifted, the slices merge as in
-    # an online softmax: each slice shifts by the running row max `m`,
-    # and when a slice raises it the sum so far is rescaled to match.
+    # UNSHIFTED_LOGIT_BOUND (or is NaN). For max|k| it takes the largest
+    # `key_bound` among the frames some layer attends, each bound computed
+    # once when its frame was built, so no pass over K is made here.
+    # Shifted, the slices merge as in an online softmax: each slice shifts
+    # by the running row max `m`, and when a slice raises it the sum so
+    # far is rescaled to match.
     t0 = time.perf_counter()
     L, H, T, P, d = cfg.layers, cfg.heads, cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.head_dim
     G = L * H
     q_scaled = (queries * (1.0 / math.sqrt(d))).reshape(T, G, P, d)
+    recent = state.local_window + tuple(frames)
     # Every layer attends the same number of memory frames.
-    n_keys = (len(selected[0]) + len(state.local_window) + T) * P
+    n_mem = len(selected[0]) * P
+    n_keys = n_mem + len(recent) * P
     n_ctx = n_keys - T * P
-    k = _scratch("k", (L, H, n_keys, d))
+    k = _scratch("k", (L, H, d, n_keys))
     v = _scratch("v", (L, H, n_keys, d + 1))
-    for l in range(L):
-        context = selected[l] + state.local_window + tuple(frames)
-        np.concatenate([f.k[l] for f in context], axis=1, out=k[l])
-        np.concatenate([f.v[l] for f in context], axis=1, out=v[l, :, :, :d])
+    np.concatenate([f.k.swapaxes(2, 3) for f in recent], axis=3, out=k[..., n_mem:])
+    np.concatenate([f.v for f in recent], axis=2, out=v[:, :, n_mem:, :d])
+    for l, chosen in enumerate(selected):
+        if chosen:
+            np.concatenate([f.k[l].swapaxes(1, 2) for f in chosen], axis=2, out=k[l, :, :, :n_mem])
+            np.concatenate([f.v[l] for f in chosen], axis=1, out=v[l, :, :n_mem, :d])
+    key_bound = max(f.key_bound for chosen in (recent, *selected) for f in chosen)
     v[..., d] = 1.0
-    k = k.reshape(G, n_keys, d)
+    k = k.reshape(G, d, n_keys)
     v = v.reshape(G, n_keys, d + 1)
-    bound = d * np.maximum(q_scaled.max(), -q_scaled.min()) * np.maximum(k.max(), -k.min())
+    bound = d * np.maximum(q_scaled.max(), -q_scaled.min()) * key_bound
     shift = not bound <= UNSHIFTED_LOGIT_BOUND
     row_keys = max(1, LOGIT_BLOCK_BYTES // (8 * P))  # keys whose float64 logits fit
     g = max(1, min(G, row_keys // n_keys))  # pairs per block
@@ -239,7 +252,7 @@ def step_chunk(
             for j in range(s_i):
                 a, b = j * n // s_i, (j + 1) * n // s_i
                 w = np.matmul(
-                    q_scaled[i, lo:hi], k[lo:hi, a:b].transpose(0, 2, 1),
+                    q_scaled[i, lo:hi], k[lo:hi, :, a:b],
                     out=logits[: (hi - lo) * P * (b - a)].reshape(hi - lo, P, b - a),
                 )
                 if shift:

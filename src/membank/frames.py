@@ -24,12 +24,16 @@ class FrameKV:
     """KV cache of a single latent frame across all layers and heads.
 
     k and v are finite float64 arrays of shape [L, H, P, d]; P is tokens
-    per frame.
+    per frame. `key_bound` is max |k| over the whole frame, computed once
+    at construction: the attention kernel bounds its logits by it, and it
+    is also the check that k is finite, since NaN and inf propagate
+    through the max.
     """
 
     frame_id: int
     k: np.ndarray
     v: np.ndarray
+    key_bound: float = field(init=False, repr=False, compare=False)
     # relevance_lse's one-slot memo: (query, its [L * H] statistics).
     _lse_memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
@@ -47,8 +51,10 @@ class FrameKV:
             raise ShapeError(f"k shape {self.k.shape} != v shape {self.v.shape}")
         if self.k.shape[2] == 0:
             raise ShapeError("a frame needs at least one token")
-        if not (np.isfinite(self.k).all() and np.isfinite(self.v).all()):
+        key_bound = float(np.abs(self.k).max())
+        if not (np.isfinite(key_bound) and np.isfinite(self.v).all()):
             raise ShapeError("frame k/v contain non-finite entries")
+        object.__setattr__(self, "key_bound", key_bound)
 
     @cached_property
     def key_descriptor(self) -> np.ndarray:

@@ -168,30 +168,36 @@ def test_bad_config_field(script_path, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
     rc = main(["run", "--script", script_path, "--config", str(cfg)])
-    assert_one_error_line(rc, capsys, "unknown config fields", "bogus")
+    assert_one_error_line(rc, capsys, str(cfg), "unknown config fields", "bogus")
 
 
 def test_config_seed_rejected(script_path, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 999}))
     rc = main(["run", "--script", script_path, "--config", str(cfg)])
-    assert_one_error_line(rc, capsys, "unknown config fields", "seed")
+    assert_one_error_line(rc, capsys, str(cfg), "unknown config fields", "seed")
 
 
 @pytest.mark.parametrize("value", ["2", 2.5, True, None])
 def test_config_field_must_be_integer(script_path, tmp_path, capsys, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"layers": value}))
-    assert main(["run", "--script", script_path, "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "layers" in err and err.count("\n") == 1
+    rc = main(["run", "--script", script_path, "--config", str(cfg)])
+    assert_one_error_line(rc, capsys, str(cfg), "layers")
+
+
+def test_model_config_check_names_the_file(script_path, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bank_capacity": 0}))
+    rc = main(["run", "--script", script_path, "--config", str(cfg)])
+    assert_one_error_line(rc, capsys, f"{cfg}: bank_capacity must be >= 1, got 0")
 
 
 def test_config_must_be_object(script_path, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps([["layers", 2]]))
     rc = main(["run", "--script", script_path, "--config", str(cfg)])
-    assert_one_error_line(rc, capsys, "object")
+    assert_one_error_line(rc, capsys, str(cfg), "object")
 
 
 @pytest.mark.parametrize("command", ["ablate", "bench"])
@@ -225,7 +231,7 @@ def test_ablate_bad_grid_rejected(script_path, tmp_path, capsys, grid, word):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(grid))
     rc = main(["ablate", "--script", script_path, "--grid", str(path)])
-    assert_one_error_line(rc, capsys, word)
+    assert_one_error_line(rc, capsys, f"{path}: ", word)
 
 
 @pytest.mark.parametrize("command, flag", [("run", "--config"), ("ablate", "--grid")])

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from membank import engine
 from membank.activation import select_top_k
 from membank.engine import Mode, initial_state, rollout, step_chunk
 from membank.errors import ScriptError
+from membank.frames import FrameKV
 from membank.metrics import chunk_digest
 from membank.oracles import full_memory_attention_oracle, random_frames, sdp_attention_loop, sma_scores_loop
 from membank.script import NarrativeScript, Segment
@@ -129,6 +131,27 @@ class TestEngineAgainstOracle:
         for *_, res in steps:
             assert all(np.isfinite(out).all() for out in res.attention_outputs)
         assert_matches_oracle(mode, CFG, w, steps)
+
+    @pytest.mark.parametrize("mode", [Mode.FRAME_SINK, Mode.NAM_FULL, Mode.NAM_SMA], ids=lambda m: m.value)
+    def test_bound_covers_memory_frames(self, mode):
+        # Only the sink and bank frames hold large keys, so only they put
+        # the logit bound above UNSHIFTED_LOGIT_BOUND: a bound over the
+        # window and the chunk alone would skip the max shift, and exp
+        # would overflow.
+        w, steps = record_steps(mode, CFG, topics=(0, 0, 1, 1))
+        pre_state, chunk, _, _ = steps[-1]
+
+        def loud(bank):
+            return replace(bank, frames=tuple(FrameKV(f.frame_id, 1e4 * f.k, f.v) for f in bank.frames))
+
+        pre_state = replace(pre_state, sink=loud(pre_state.sink), bank=loud(pre_state.bank))
+        space = make_topic_space(2, CFG, 0.05)
+        prompt = encode_prompt("prompt about topic 1", 1, CFG, space, w)
+        state, res = step_chunk(pre_state, prompt, chunk, CFG, w)
+        loud_ids = {f.frame_id for f in pre_state.sink.frames + pre_state.bank.frames}
+        assert all(loud_ids & set(ids) for ids in res.selected_frame_ids)
+        assert all(np.isfinite(out).all() for out in res.attention_outputs)
+        assert_matches_oracle(mode, CFG, w, [(pre_state, chunk, state, res)])
 
     @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
     def test_forced_shift_keeps_outputs(self, mode, monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from membank.frames import FrameKV, MemoryBank
 from membank.metrics import chunk_digest
 from membank.oracles import random_frames
 from membank.retrieval import TextQuery, memory_update
-from membank.toymodel import ModelConfig, encode_prompt, init_weights, make_topic_space, synth_chunk
+from membank.toymodel import ModelConfig, encode_prompt, init_weights, make_topic_space, project_kv, synth_chunk
 
 
 def test_bank_new_capacities():
@@ -161,5 +162,25 @@ def test_frame_and_query_copy_the_callers_arrays(rng):
 def test_non_finite_kv_rejected(rng, bad, field):
     arrays = {"k": rng.standard_normal((2, 2, 4, 8)), "v": rng.standard_normal((2, 2, 4, 8))}
     arrays[field][1, 0, 2, 3] = bad
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="non-finite"):
         FrameKV(frame_id=0, **arrays)
+
+
+def test_key_bound_is_max_abs_key(rng):
+    space = make_topic_space(2, CFG, 0.05)
+    projected = project_kv(synth_chunk(0, 0, CFG, space), CFG, init_weights(CFG))
+    for f in projected + random_frames(rng, 3):
+        assert f.key_bound == np.abs(f.k).max()
+        assert isinstance(f.key_bound, float)
+
+
+def test_key_bound_is_not_an_argument_and_not_compared(rng):
+    f = random_frames(rng, 1)[0]
+    with pytest.raises(TypeError):
+        FrameKV(0, f.k, f.v, key_bound=1.0)
+    assert "key_bound" not in repr(f)
+    # Same arrays, another bound: still equal.
+    other = copy.copy(f)
+    object.__setattr__(other, "key_bound", f.key_bound + 1.0)
+    assert other == f
+    assert replace(f).key_bound == f.key_bound
