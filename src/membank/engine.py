@@ -17,7 +17,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,11 +38,13 @@ from .toymodel import (
 )
 
 __all__ = [
+    "AttentionPlan",
     "Mode",
     "RolloutState",
     "ChunkResult",
     "RolloutRun",
     "initial_state",
+    "attend",
     "step_chunk",
     "rollout",
 ]
@@ -105,12 +107,22 @@ class RolloutState:
     mode: Mode
 
 
+class AttentionPlan(NamedTuple):
+    """How `attend` ran: (layer, head) pairs per batched block, key slices
+    per full row, and whether the max shift ran."""
+
+    pairs_per_block: int
+    slices: int
+    shifted: bool
+
+
 @dataclass
 class ChunkResult:
     chunk_id: int
     attention_outputs: list[np.ndarray]  # per layer, [T, H, P, d]
     activation_sets: list[Optional[ActivationSet]]  # per layer
     attended_key_count: int
+    attention_plan: AttentionPlan
     wall_time: dict[str, float]
     retained_bank_ids: list[int]
     pre_update_bank_ids: list[int]
@@ -135,6 +147,86 @@ def initial_state(cfg: ModelConfig, mode: Mode) -> RolloutState:
         prev_chunk=(),
         mode=mode,
     )
+
+
+def attend(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    key_bound: float,
+    *,
+    budget: int = LOGIT_BLOCK_BYTES,
+    unshifted_bound: float = UNSHIFTED_LOGIT_BOUND,
+) -> tuple[np.ndarray, int, AttentionPlan]:
+    """Causal attention of a chunk's T query frames over N keys, for G
+    (layer, head) pairs at once.
+
+    `q` is [T, G, P, d], already scaled by 1/sqrt(d). `k` is [G, d, N],
+    keys-last so the logits product reads it untransposed. `v` is
+    [G, N, d+1]: its last column is ones, so the value product also yields
+    each row's softmax sum and one divide normalises every row. The last
+    T*P keys are the chunk's own frames, and query frame i attends the
+    prefix that ends with its own frame, so the intra-chunk causal mask is
+    a slice. `key_bound` is at least max|k| over all N keys.
+
+    One batched block covers as many pairs as fit `budget` bytes of
+    float64 logits: at small P this saves numpy calls, at large P one pair
+    fills the block and a bigger one would outgrow L2 cache. When one
+    pair's row of logits alone exceeds the budget, each query frame splits
+    its keys into `s` near-equal slices and adds each slice's value
+    product into its row. A block runs all T query frames before the next
+    block starts, so its pairs' K/V stay in cache across frames. The logit
+    and row buffers are views of this thread's workspace (`_scratch`),
+    kept across calls.
+
+    Since |q.k| <= d * max|q| * max|k|, the max shift that keeps exp from
+    overflowing runs only when that bound exceeds `unshifted_bound` (or is
+    NaN). Shifted, the slices merge as in an online softmax (FlashAttention,
+    Dao et al. 2022): each slice shifts by the running row max `m`, and
+    when a slice raises it the sum so far is rescaled to match.
+
+    Returns the outputs [T, G, P, d] as a fresh array, so no view of the
+    workspace escapes; the number of (query, key) pairs attended; and the
+    plan.
+    """
+    T, G, P, d = q.shape
+    n_keys = k.shape[2]
+    n_ctx = n_keys - T * P
+    bound = d * np.maximum(q.max(), -q.min()) * key_bound
+    shift = not bound <= unshifted_bound
+    row_keys = max(1, budget // (8 * P))  # keys whose float64 logits fit
+    g = max(1, min(G, row_keys // n_keys))  # pairs per block
+    s = -(-n_keys // row_keys)  # key slices per row; g = 1 when s > 1
+    logits = _scratch("logits", (g * P * min(n_keys, row_keys),))
+    num = _scratch("num", (T, G, P, d + 1))  # unnormalised outputs ++ row sums
+    part = _scratch("part", (g, P, d + 1))  # a later slice's value product
+    attended = 0
+    for lo in range(0, G, g):
+        hi = min(lo + g, G)
+        for i in range(T):
+            n = n_ctx + (i + 1) * P
+            acc = num[i, lo:hi]
+            s_i = min(s, n)
+            for j in range(s_i):
+                a, b = j * n // s_i, (j + 1) * n // s_i
+                w = np.matmul(
+                    q[i, lo:hi], k[lo:hi, :, a:b],
+                    out=logits[: (hi - lo) * P * (b - a)].reshape(hi - lo, P, b - a),
+                )
+                if shift:
+                    m_new = w.max(axis=2, keepdims=True)
+                    if j:
+                        np.maximum(m_new, m, out=m_new)
+                        acc *= np.exp(m - m_new)
+                    m = m_new
+                    w -= m
+                np.exp(w, out=w)
+                if j:
+                    acc += np.matmul(w, v[lo:hi, a:b], out=part[: hi - lo])
+                else:
+                    np.matmul(w, v[lo:hi, a:b], out=acc)
+            attended += (hi - lo) * P * n
+    return num[..., :d] / num[..., d:], attended, AttentionPlan(g, s, shift)
 
 
 def step_chunk(
@@ -182,37 +274,15 @@ def step_chunk(
     wall["selection"] = time.perf_counter() - t0
 
     # Every layer's context is assembled once per chunk, selected memory
-    # ++ window ++ the new chunk, with K stored keys-last as [L, H, d, N]
-    # so the logits product reads it untransposed, and V as [L, H, N, d+1];
-    # both are viewed as L*H (layer, head) pairs. The window and the chunk
-    # end every layer's context, so they are copied for all layers in one
-    # concatenate per buffer; only the memory frames, which SMA selects
-    # per layer, are copied layer by layer.
-    # Query frame i attends to the prefix that ends with its own frame, so
-    # the intra-chunk causal mask is a slice. One batched block covers as
-    # many pairs as fit LOGIT_BLOCK_BYTES of logits: at small P this saves
-    # numpy calls, at large P one pair fills the block and a bigger one
-    # would outgrow L2 cache. When one pair's row of logits alone exceeds
-    # the budget, each query frame splits its keys into `s` near-equal
-    # slices and adds each slice's value product into `num`. A block runs
-    # all T query frames before the next block starts, so its pairs' K/V
-    # stay in cache across frames.
-    # The K/V, logit and output buffers are views of this thread's
-    # workspace (`_scratch`), shared by every block and kept across
-    # chunks. Freed after each chunk, buffers this size (about 0.8 MB
-    # each at P=64) let glibc trim the heap, and the next chunk faults
+    # ++ window ++ the new chunk, into this thread's workspace (`_scratch`)
+    # as the (layer, head) pairs `attend` reads: K keys-last, V with a
+    # column of ones. The window and the chunk end every layer's context,
+    # so they are copied for all layers in one concatenate per buffer;
+    # only the memory frames, which SMA selects per layer, are copied
+    # layer by layer. Freed after each chunk, buffers this size (about 0.8
+    # MB each at P=64) let glibc trim the heap, and the next chunk faults
     # the same pages in again: 200-430 minor faults per P=64, b=12
     # `nam_full` chunk, against 0-1 with the kept buffers.
-    # V carries a column of ones, so the value product also yields each
-    # row's softmax sum and one divide per chunk normalises every row.
-    # Since |q.k| <= d * max|q| * max|k|, the max shift that keeps exp
-    # from overflowing runs only when that bound exceeds
-    # UNSHIFTED_LOGIT_BOUND (or is NaN). For max|k| it takes the largest
-    # `key_bound` among the frames some layer attends, each bound computed
-    # once when its frame was built, so no pass over K is made here.
-    # Shifted, the slices merge as in an online softmax: each slice shifts
-    # by the running row max `m`, and when a slice raises it the sum so
-    # far is rescaled to match.
     t0 = time.perf_counter()
     L, H, T, P, d = cfg.layers, cfg.heads, cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.head_dim
     G = L * H
@@ -221,7 +291,6 @@ def step_chunk(
     # Every layer attends the same number of memory frames.
     n_mem = len(selected[0]) * P
     n_keys = n_mem + len(recent) * P
-    n_ctx = n_keys - T * P
     k = _scratch("k", (L, H, d, n_keys))
     v = _scratch("v", (L, H, n_keys, d + 1))
     np.concatenate([f.k.swapaxes(2, 3) for f in recent], axis=3, out=k[..., n_mem:])
@@ -230,45 +299,12 @@ def step_chunk(
         if chosen:
             np.concatenate([f.k[l].swapaxes(1, 2) for f in chosen], axis=2, out=k[l, :, :, :n_mem])
             np.concatenate([f.v[l] for f in chosen], axis=1, out=v[l, :, :n_mem, :d])
-    key_bound = max(f.key_bound for chosen in (recent, *selected) for f in chosen)
     v[..., d] = 1.0
-    k = k.reshape(G, d, n_keys)
-    v = v.reshape(G, n_keys, d + 1)
-    bound = d * np.maximum(q_scaled.max(), -q_scaled.min()) * key_bound
-    shift = not bound <= UNSHIFTED_LOGIT_BOUND
-    row_keys = max(1, LOGIT_BLOCK_BYTES // (8 * P))  # keys whose float64 logits fit
-    g = max(1, min(G, row_keys // n_keys))  # pairs per block
-    s = -(-n_keys // row_keys)  # key slices per row; g = 1 when s > 1
-    logits = _scratch("logits", (g * P * min(n_keys, row_keys),))
-    num = _scratch("num", (T, G, P, d + 1))  # unnormalised outputs ++ row sums
-    part = _scratch("part", (g, P, d + 1))  # a later slice's value product
-    attended = 0
-    for lo in range(0, G, g):
-        hi = min(lo + g, G)
-        for i in range(T):
-            n = n_ctx + (i + 1) * P
-            acc = num[i, lo:hi]
-            s_i = min(s, n)
-            for j in range(s_i):
-                a, b = j * n // s_i, (j + 1) * n // s_i
-                w = np.matmul(
-                    q_scaled[i, lo:hi], k[lo:hi, :, a:b],
-                    out=logits[: (hi - lo) * P * (b - a)].reshape(hi - lo, P, b - a),
-                )
-                if shift:
-                    m_new = w.max(axis=2, keepdims=True)
-                    if j:
-                        np.maximum(m_new, m, out=m_new)
-                        acc *= np.exp(m - m_new)
-                    m = m_new
-                    w -= m
-                np.exp(w, out=w)
-                if j:
-                    acc += np.matmul(w, v[lo:hi, a:b], out=part[: hi - lo])
-                else:
-                    np.matmul(w, v[lo:hi, a:b], out=acc)
-            attended += (hi - lo) * P * n
-    out_all = num[..., :d] / num[..., d:]  # a fresh array: no view of the workspace escapes
+    # Each frame's bound was computed once when it was built.
+    key_bound = max(f.key_bound for chosen in (recent, *selected) for f in chosen)
+    out_all, attended, plan = attend(
+        q_scaled, k.reshape(G, d, n_keys), v.reshape(G, n_keys, d + 1), key_bound
+    )
     outputs = [out_all[:, l * H : (l + 1) * H] for l in range(L)]
     wall["attention"] = time.perf_counter() - t0
 
@@ -280,6 +316,7 @@ def step_chunk(
         attention_outputs=outputs,
         activation_sets=activation_sets,
         attended_key_count=attended,
+        attention_plan=plan,
         wall_time=wall,
         retained_bank_ids=retained_ids,
         pre_update_bank_ids=pre_update_ids,

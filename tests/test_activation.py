@@ -235,7 +235,7 @@ def random_bank(rng, count, cfg=CFG):
     )
 
 
-class TestGatedAttention:
+class TestStepChunkSma:
     """The engine's SMA path: selection on the pool, then attention over
     the selected frames, the window and the causal prefix."""
 

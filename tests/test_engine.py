@@ -3,20 +3,20 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from membank import engine
 from membank.activation import select_top_k
-from membank.engine import Mode, initial_state, rollout, step_chunk
+from membank.engine import LOGIT_BLOCK_BYTES, AttentionPlan, Mode, attend, initial_state, rollout, step_chunk
 from membank.errors import ScriptError
 from membank.frames import FrameKV
 from membank.metrics import chunk_digest
 from membank.oracles import full_memory_attention_oracle, random_frames, sdp_attention_loop, sma_scores_loop
-from membank.script import NarrativeScript, Segment
+from membank.script import NarrativeScript, Segment, parse_script
 from membank.toymodel import (
     ModelConfig,
     encode_prompt,
@@ -129,6 +129,7 @@ class TestEngineAgainstOracle:
         # UNSHIFTED_LOGIT_BOUND; without the max shift exp overflows.
         w, steps = record_steps(mode, CFG, noise_eps=1e3)
         for *_, res in steps:
+            assert res.attention_plan.shifted is True
             assert all(np.isfinite(out).all() for out in res.attention_outputs)
         assert_matches_oracle(mode, CFG, w, steps)
 
@@ -139,7 +140,8 @@ class TestEngineAgainstOracle:
         # window and the chunk alone would skip the max shift, and exp
         # would overflow.
         w, steps = record_steps(mode, CFG, topics=(0, 0, 1, 1))
-        pre_state, chunk, _, _ = steps[-1]
+        pre_state, chunk, _, quiet = steps[-1]
+        assert quiet.attention_plan.shifted is False
 
         def loud(bank):
             return replace(bank, frames=tuple(FrameKV(f.frame_id, 1e4 * f.k, f.v) for f in bank.frames))
@@ -150,185 +152,134 @@ class TestEngineAgainstOracle:
         state, res = step_chunk(pre_state, prompt, chunk, CFG, w)
         loud_ids = {f.frame_id for f in pre_state.sink.frames + pre_state.bank.frames}
         assert all(loud_ids & set(ids) for ids in res.selected_frame_ids)
+        assert res.attention_plan.shifted is True
         assert all(np.isfinite(out).all() for out in res.attention_outputs)
         assert_matches_oracle(mode, CFG, w, [(pre_state, chunk, state, res)])
 
-    @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
-    def test_forced_shift_keeps_outputs(self, mode, monkeypatch):
-        _, reference = record_steps(mode, CFG)
-        monkeypatch.setattr(engine, "UNSHIFTED_LOGIT_BOUND", 0.0)
-        _, steps = record_steps(mode, CFG)
-        for (*_, res), (*_, ref) in zip(steps, reference):
-            for out, want in zip(res.attention_outputs, ref.attention_outputs):
-                assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
-            assert res.selected_frame_ids == ref.selected_frame_ids
-            assert res.retained_bank_ids == ref.retained_bank_ids
-            assert res.attended_key_count == ref.attended_key_count
+
+def attend_operands(rng, amplitude=1.0, G=4, P=4, n_ctx=8, d=4):
+    """Random operands for `attend`: scaled queries [T, G, P, d] of T = 3
+    frames, K [G, d, N] and V [G, N, d+1] with its column of ones over
+    N = n_ctx + T·P keys, and K's bound."""
+    T = 3
+    N = n_ctx + T * P
+    q = amplitude * rng.standard_normal((T, G, P, d))
+    k = rng.standard_normal((G, d, N))
+    v = np.concatenate([rng.standard_normal((G, N, d)), np.ones((G, N, 1))], axis=2)
+    return q, k, v, float(np.abs(k).max())
 
 
-def full_window_keys(mode, cfg):
-    """Keys per (layer, head) once the window and the bank are full."""
-    T = cfg.frames_per_chunk
-    memory = {
-        Mode.NO_MEMORY: 0,
-        Mode.FRAME_SINK: T,
-        Mode.NAM_FULL: T + cfg.bank_capacity,
-        Mode.NAM_SMA: cfg.sma_k,
-    }[mode]
-    return (memory + cfg.local_window + T) * cfg.tokens_per_frame
+def attend_oracle(q, k, v):
+    """`attend` by the scalar loop: each pair's query frame i over its
+    causal prefix of n_ctx + (i+1)·P keys."""
+    T, G, P, d = q.shape
+    n_ctx = k.shape[2] - T * P
+    out = np.empty(q.shape)
+    for i in range(T):
+        n = n_ctx + (i + 1) * P
+        for g in range(G):
+            out[i, g] = sdp_attention_loop(q[i, g], k[g, :, :n].T, v[g, :n, :d], 1.0)
+    return out
 
 
-def slice_budget(mode, cfg, slices):
-    """The logit budget that splits each full-window row into `slices`
-    key slices, one pair per block."""
-    return 8 * cfg.tokens_per_frame * -(-full_window_keys(mode, cfg) // slices)
-
-
-# Logit budgets per mode at the default geometry (G = 4 pairs), with the
-# pairs per block and key slices each gives on full-window chunks: one
-# pair per block; all pairs in one block; 3 pairs per block, which leaves
-# a remainder block of 1 pair; and one pair per block cut into 2 or 3
-# key slices.
-BLOCK_BUDGETS = {
-    "g1": (lambda mode, cfg: 8 * cfg.tokens_per_frame * full_window_keys(mode, cfg), [1, 1, 1, 1], 1),
-    "gG": (lambda mode, cfg: 2**30, [4], 1),
-    "g3": (lambda mode, cfg: 3 * 8 * cfg.tokens_per_frame * full_window_keys(mode, cfg), [3, 1], 1),
-    "s2": (lambda mode, cfg: slice_budget(mode, cfg, 2), [1, 1, 1, 1], 2),
-    "s3": (lambda mode, cfg: slice_budget(mode, cfg, 3), [1, 1, 1, 1], 3),
+# Logit budgets with the (pairs per block, key slices) each gives on the
+# default `attend_operands`, G = 4 pairs of P = 4 queries over N = 20 keys:
+# one pair per block; all pairs in one block (the default budget); 3 pairs
+# per block, which leaves a remainder block of 1 pair; and one pair per
+# block cut into 2 or 3 key slices.
+COLUMN = 8 * 4  # bytes of one key column of logits
+BLOCK_PLANS = {
+    "g1": (COLUMN * 20, 1, 1),
+    "gG": (LOGIT_BLOCK_BYTES, 4, 1),
+    "g3": (COLUMN * 20 * 3, 3, 1),
+    "s2": (COLUMN * 10, 1, 2),
+    "s3": (COLUMN * 7, 1, 3),
 }
-BLOCK_TOPICS = (0, 0, 1, 1, 0, 1)  # the window fills at chunk 2, the bank at chunk 3
-
-
-class MatmulSpy:
-    """Stands in for numpy inside the engine and records, per batched
-    product, its (layer, head) pairs, the width of its output rows and
-    its output bytes. The engine's only matmuls are the attention
-    products, a logits product then its value product per key slice, so
-    the even-numbered calls are the logits."""
-
-    def __init__(self):
-        self.calls = []
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def matmul(self, a, b, out):
-        self.calls.append((a.shape[0], out.shape[-1], out.nbytes))
-        return np.matmul(a, b, out=out)
-
-    @property
-    def logits(self):
-        return self.calls[0::2]
-
-
-def full_window_calls(mode, cfg, block_sizes, slices):
-    """(pairs, row width) of each product on a full-window chunk: per
-    block and query frame, `slices` near-equal key slices of the frame's
-    causal prefix, each a logits product then a value product."""
-    P, T, d = cfg.tokens_per_frame, cfg.frames_per_chunk, cfg.head_dim
-    n_ctx = full_window_keys(mode, cfg) - T * P
-    calls = []
-    for g in block_sizes:
-        for i in range(T):
-            n = n_ctx + (i + 1) * P
-            for j in range(slices):
-                calls += [(g, (j + 1) * n // slices - j * n // slices), (g, d + 1)]
-    return calls
 
 
 class TestLogitBlocks:
-    """The pairs-per-block rule changes the grouping of the attention
-    calls, never a byte of the output; cutting the key axis into slices
-    changes only rounding."""
+    """`attend` in each block and slice plan, shifted and unshifted,
+    against the scalar-loop oracle. The pairs-per-block rule changes the
+    grouping of the products, never a byte of the output; key slices and
+    the max shift change only rounding."""
 
-    @pytest.mark.parametrize("budget", list(BLOCK_BUDGETS))
-    def test_budget_keeps_outputs(self, budget, monkeypatch):
-        cfg = CFG
-        assert cfg.layers * cfg.heads == 4
-        T = cfg.frames_per_chunk
-        budget_bytes, block_sizes, slices = BLOCK_BUDGETS[budget]
-        for mode in Mode:
-            _, reference = record_steps(mode, cfg, BLOCK_TOPICS)
-            spy = MatmulSpy()
-            monkeypatch.setattr(engine, "LOGIT_BLOCK_BYTES", budget_bytes(mode, cfg))
-            monkeypatch.setattr(engine, "np", spy)
-            w, steps = record_steps(mode, cfg, BLOCK_TOPICS)
-            monkeypatch.undo()
-            # The last chunk has a full window and, in the bank modes, a
-            # full bank: slices x T logits products per block.
-            last_chunk = full_window_calls(mode, cfg, block_sizes, slices)
-            assert [c[:2] for c in spy.calls[-len(last_chunk) :]] == last_chunk
-            assert len(last_chunk) == 2 * slices * T * len(block_sizes)
-            assert_matches_oracle(mode, cfg, w, steps)
-            window = 0
-            for (_, _, _, res), (_, _, _, ref) in zip(steps, reference):
-                for out, want in zip(res.attention_outputs, ref.attention_outputs):
-                    if slices == 1:
-                        assert np.array_equal(out, want)
-                    else:
-                        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
-                assert res.attended_key_count == expected_key_count(cfg, len(res.selected_frame_ids[0]), window)
-                window = min(window + T, cfg.local_window)
-
-    @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
-    def test_shifted_slices_match_oracle(self, mode, monkeypatch):
-        # Token noise of 1e3 forces the max shift (B ~ 1e6), and a budget
-        # of one frame of keys cuts every row into at least T = 3 slices,
-        # so later slices raise the running row max and the sum so far
-        # must be rescaled.
-        P = CFG.tokens_per_frame
-        spy = MatmulSpy()
-        monkeypatch.setattr(engine, "LOGIT_BLOCK_BYTES", 8 * P * P)
-        monkeypatch.setattr(engine, "np", spy)
-        w, steps = record_steps(mode, CFG, BLOCK_TOPICS, noise_eps=1e3)
-        monkeypatch.undo()
-        assert max(width for _, width, _ in spy.logits) <= P
-        assert len(spy.logits) >= 3 * CFG.frames_per_chunk * CFG.layers * CFG.heads * len(steps)
-        for *_, res in steps:
-            assert all(np.isfinite(out).all() for out in res.attention_outputs)
-        assert_matches_oracle(mode, CFG, w, steps)
+    @pytest.mark.parametrize("case", list(BLOCK_PLANS))
+    def test_budget_keeps_outputs(self, case, rng):
+        budget, g, s = BLOCK_PLANS[case]
+        # At amplitude 1 the logit bound stays below UNSHIFTED_LOGIT_BOUND.
+        # At 1e3 logits reach about 1e4, so exp overflows unless shifted,
+        # and later slices raise the running row max.
+        for amplitude, shifted in ((1.0, False), (1e3, True)):
+            q, k, v, key_bound = attend_operands(rng, amplitude)
+            ref, _, ref_plan = attend(q, k, v, key_bound)
+            out, keys, plan = attend(q, k, v, key_bound, budget=budget)
+            assert ref_plan == (4, 1, shifted)
+            assert plan == AttentionPlan(g, s, shifted)
+            assert keys == 4 * 4 * (12 + 16 + 20)  # G·P queries over each frame's prefix
+            assert np.max(np.abs(out - attend_oracle(q, k, v))) <= 1e-9
+            if s == 1:
+                assert np.array_equal(out, ref)
+            else:
+                assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+            forced, _, forced_plan = attend(q, k, v, key_bound, budget=budget, unshifted_bound=0.0)
+            assert forced_plan == (g, s, True)
+            assert np.max(np.abs(forced - out)) <= 1e-12 * np.max(np.abs(out))
 
 
 # The wide_frames benchmark geometry: its K, V, logit and output buffers
 # are the largest any test steps.
 WIDE_CFG = ModelConfig(tokens_per_frame=64, bank_capacity=12, sma_k=3, seed=3)
-WIDE_TOPICS = (0, 1) * 7  # the bank fills at chunk 13: 1536 keys per nam_full row
 
 
 class TestLogitBudget:
-    """Whenever one key column of logits fits the budget (8·P bytes), no
-    logits product exceeds it: a row longer than the budget is cut into
-    key slices instead of overshooting it as one pair."""
+    """Whenever one key column of logits fits the budget (8·P bytes), the
+    plan keeps every logits product within it: a row longer than the
+    budget is cut into key slices, one pair per block, instead of
+    overshooting it as one pair."""
 
     @pytest.mark.parametrize(
-        "cfg, topics, budget",
+        "cfg, budget",
         [
-            (CFG, BLOCK_TOPICS, None),
-            (CFG, BLOCK_TOPICS, 8 * CFG.tokens_per_frame),  # one key per slice
-            (CFG, BLOCK_TOPICS, 8 * CFG.tokens_per_frame * 7 + 5),  # not a multiple of a column
-            (WIDE_CFG, WIDE_TOPICS, None),
-            (WIDE_CFG, WIDE_TOPICS, 100_000),
+            (CFG, LOGIT_BLOCK_BYTES),
+            (CFG, 8 * CFG.tokens_per_frame),  # one key per slice
+            (CFG, 8 * CFG.tokens_per_frame * 7 + 5),  # not a multiple of a column
+            (WIDE_CFG, LOGIT_BLOCK_BYTES),
+            (WIDE_CFG, 100_000),
         ],
         ids=["default", "default-one-key", "default-odd", "wide", "wide-odd"],
     )
-    def test_no_logits_product_exceeds_budget(self, cfg, topics, budget, monkeypatch):
-        if budget is not None:
-            monkeypatch.setattr(engine, "LOGIT_BLOCK_BYTES", budget)
-        limit = engine.LOGIT_BLOCK_BYTES
-        assert 8 * cfg.tokens_per_frame <= limit
+    def test_no_logits_product_exceeds_budget(self, cfg, budget, rng):
+        T, P = cfg.frames_per_chunk, cfg.tokens_per_frame
+        assert 8 * P <= budget
+        # Every row length a chunk meets, up to nam_full's with a full
+        # bank and window.
+        widest = (2 * T + cfg.bank_capacity + cfg.local_window) * P
+        for n_ctx in range(0, widest - T * P + 1, P):
+            q, k, v, key_bound = attend_operands(rng, G=cfg.layers * cfg.heads, P=P, n_ctx=n_ctx, d=2)
+            _, _, (g, s, _) = attend(q, k, v, key_bound, budget=budget)
+            assert 8 * g * P * -(-k.shape[2] // s) <= budget
+            assert g == 1 or s == 1
+
+
+SAMPLE_SCRIPT = parse_script(Path(__file__).parents[1] / "sample_script.json")
+
+
+class TestAttentionPlan:
+    """The plans `step_chunk` records on `sample_script.json` at
+    `rollout`'s default token noise, 0.05."""
+
+    def test_default_geometry_runs_one_block_unshifted(self):
         for mode in Mode:
-            spy = MatmulSpy()
-            monkeypatch.setattr(engine, "np", spy)
-            _, steps = record_steps(mode, cfg, topics)
-            monkeypatch.setattr(engine, "np", np)
-            assert max(nbytes for *_, nbytes in spy.logits) <= limit
-            if cfg is WIDE_CFG and mode is Mode.NAM_FULL:
-                # The last chunk attends a full bank and window, and one
-                # pair's row of logits there is larger than the budget.
-                res = steps[-1][3]
-                T = cfg.frames_per_chunk
-                assert res.attended_key_count == expected_key_count(cfg, T + cfg.bank_capacity, cfg.local_window)
-                assert 8 * cfg.tokens_per_frame * full_window_keys(mode, cfg) > limit
+            run = rollout(SAMPLE_SCRIPT, ModelConfig(), mode)
+            assert {res.attention_plan for res in run.results} == {AttentionPlan(4, 1, False)}
+
+    def test_wide_geometry_slices_only_long_rows(self):
+        # nam_full's rows pass R = 1024 keys once the bank holds 5 frames.
+        for mode in Mode:
+            plans = [res.attention_plan for res in rollout(SAMPLE_SCRIPT, WIDE_CFG, mode).results]
+            assert not any(plan.shifted for plan in plans)
+            if mode is Mode.NAM_FULL:
+                assert plans == [(4, 1, False)] + [(1, 1, False)] * 4 + [(1, 2, False)] * 7
 
 
 def digests(steps):

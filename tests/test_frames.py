@@ -11,7 +11,7 @@ from membank.errors import CapacityError, ConfigError, ShapeError
 from membank.frames import FrameKV, MemoryBank
 from membank.metrics import chunk_digest
 from membank.oracles import random_frames
-from membank.retrieval import TextQuery, memory_update
+from membank.retrieval import TextQuery
 from membank.toymodel import ModelConfig, encode_prompt, init_weights, make_topic_space, project_kv, synth_chunk
 
 
@@ -25,34 +25,7 @@ def test_bank_new_zero_capacity():
         MemoryBank(0)
 
 
-class TestRetain:
-    """Retention in `memory_update` keeps the bank's own frames, in bank
-    order."""
-
-    def test_retain_all_is_identity(self, rng):
-        bank = MemoryBank(5, tuple(random_frames(rng, 3)))
-        query = TextQuery(rng.standard_normal((2, 2, 8)))
-        new_bank, retained, _ = memory_update(bank, query, random_frames(rng, 2, start_id=9))
-        assert retained == [0, 1, 2]
-        assert all(a is b for a, b in zip(new_bank.frames[:3], bank.frames, strict=True))
-
-    def test_retain_subset_keeps_order(self, rng):
-        # frame 1 scores highest, then frame 0: the two are kept in bank
-        # order, not score order
-        frames = []
-        for i, magnitude in enumerate((2.0, 3.0, 1.0)):
-            k = np.zeros((2, 2, 4, 8))
-            k[..., 0] = magnitude
-            frames.append(FrameKV(i, k=k, v=np.zeros_like(k)))
-        query = np.zeros((2, 2, 8))
-        query[..., 0] = 4.0
-        chunk = random_frames(rng, 2, start_id=9)
-        new_bank, retained, _ = memory_update(MemoryBank(3, tuple(frames)), TextQuery(query), chunk)
-        assert retained == [0, 1]
-        assert [f.frame_id for f in new_bank.frames] == [0, 1, 9]
-
-
-class TestAppend:
+class TestMemoryBank:
     """A bank is only ever built whole, and construction enforces its
     capacity and frame order."""
 

@@ -96,8 +96,9 @@ ALONG_0 = np.zeros((L, H, D))
 ALONG_0[:, :, 0] = 4.0
 
 
-class TestRetrieveTop:
-    """Retention in `memory_update`: the top-k rule over relevance scores."""
+class TestMemoryUpdateRetention:
+    """Retention in `memory_update`: the top-k rule over relevance scores,
+    keeping the bank's own frames in bank order."""
 
     def test_all_indices(self, rng):
         bank = make_bank(random_frames(rng, 3, tokens=P), capacity=4)
@@ -133,6 +134,28 @@ class TestRetrieveTop:
         keep = min(cap - 1, len(bank))
         want = best_subset(text_relevance_scores(q, bank), keep)
         assert retained == [bank.frames[i].frame_id for i in want]
+
+    def test_retain_all_is_identity(self, rng):
+        bank = MemoryBank(5, tuple(random_frames(rng, 3)))
+        query = TextQuery(rng.standard_normal((2, 2, 8)))
+        new_bank, retained, _ = memory_update(bank, query, random_frames(rng, 2, start_id=9))
+        assert retained == [0, 1, 2]
+        assert all(a is b for a, b in zip(new_bank.frames[:3], bank.frames, strict=True))
+
+    def test_retain_subset_keeps_order(self, rng):
+        # frame 1 scores highest, then frame 0: the two are kept in bank
+        # order, not score order
+        frames = []
+        for i, magnitude in enumerate((2.0, 3.0, 1.0)):
+            k = np.zeros((2, 2, 4, 8))
+            k[..., 0] = magnitude
+            frames.append(FrameKV(i, k=k, v=np.zeros_like(k)))
+        query = np.zeros((2, 2, 8))
+        query[..., 0] = 4.0
+        chunk = random_frames(rng, 2, start_id=9)
+        new_bank, retained, _ = memory_update(MemoryBank(3, tuple(frames)), TextQuery(query), chunk)
+        assert retained == [0, 1]
+        assert [f.frame_id for f in new_bank.frames] == [0, 1, 9]
 
 
 class TestChunkPrototype:
