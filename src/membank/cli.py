@@ -35,8 +35,10 @@ from .verify import run_all_checks
 
 MODE_NAMES = {m.value: m for m in Mode}
 
-# The step_chunk phases, as keyed in ChunkResult.wall_time, that bench reports.
-BENCH_PHASES = ("retrieval_update", "projection", "selection", "attention")
+# The phases, as keyed in ChunkResult.wall_time, that bench reports:
+# rollout's synthesis (synth_chunk plus the chunk's share of
+# encode_prompt), then step_chunk's own.
+BENCH_PHASES = ("synthesis", "retrieval_update", "projection", "selection", "attention")
 
 
 def load_config(path) -> ModelConfig:
@@ -158,8 +160,9 @@ def cmd_bench(args) -> int:
     # Each repeat runs every mode once, so no mode takes all of the
     # process's warm-up and each finds the heap as the others leave it.
     # Beside the throughput: the median per-chunk wall time of each phase
-    # that step_chunk times, over every chunk of every repeat, and the
-    # median over repeats of the process's minor page faults per chunk.
+    # that rollout and step_chunk time, over every chunk of every repeat,
+    # and the median over repeats of the process's minor page faults per
+    # chunk.
     cps = {mode: [] for mode in Mode}
     faults = {mode: [] for mode in Mode}
     phase_ms = {mode: {name: [] for name in BENCH_PHASES} for mode in Mode}

@@ -123,7 +123,7 @@ class ChunkResult:
     activation_sets: list[Optional[ActivationSet]]  # per layer
     attended_key_count: int
     attention_plan: AttentionPlan
-    wall_time: dict[str, float]
+    wall_time: dict[str, float]  # seconds per step_chunk phase; rollout adds "synthesis"
     retained_bank_ids: list[int]
     pre_update_bank_ids: list[int]
     relevance_scores: list[float]  # aligned with pre_update_bank_ids; empty when not scored
@@ -342,7 +342,9 @@ def rollout(
     """Run a full multi-segment script and collect per-chunk records.
 
     The script's seed drives all synthesis; prompts switch at segment
-    boundaries.
+    boundaries. Each result's `wall_time` also gets a "synthesis" entry:
+    the chunk's `synth_chunk` time plus its share of the segment's
+    `encode_prompt`, which runs outside `step_chunk`.
     """
     cfg = replace(cfg, seed=script.seed)
     weights = init_weights(cfg)
@@ -352,10 +354,15 @@ def rollout(
     started = time.perf_counter()
     chunk_id = 0
     for seg in script.segments:
+        t0 = time.perf_counter()
         prompt = encode_prompt(seg.prompt_text, seg.topic, cfg, space, weights)
+        prompt_share = (time.perf_counter() - t0) / seg.chunks
         for _ in range(seg.chunks):
+            t0 = time.perf_counter()
             chunk = synth_chunk(seg.topic, chunk_id, cfg, space)
+            synthesis = time.perf_counter() - t0 + prompt_share
             state, res = step_chunk(state, prompt, chunk, cfg, weights)
+            res.wall_time["synthesis"] = synthesis
             results.append(res)
             chunk_id += 1
     elapsed = time.perf_counter() - started

@@ -8,6 +8,7 @@ chunk and filled once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, ShapeError
 
-__all__ = ["FrameKV", "MemoryBank"]
+__all__ = ["FrameKV", "MemoryBank", "frames_from_kv"]
 
 
 @dataclass(frozen=True)
@@ -25,9 +26,10 @@ class FrameKV:
 
     k and v are finite float64 arrays of shape [L, H, P, d]; P is tokens
     per frame. `key_bound` is max |k| over the whole frame, computed once
-    at construction: the attention kernel bounds its logits by it, and it
-    is also the check that k is finite, since NaN and inf propagate
-    through the max.
+    when the frame is built: the attention kernel bounds its logits by
+    it, and it is also the check that k is finite, since NaN and inf
+    propagate through the max. `_own_kv` states the checks, the bound and
+    the copying once, for this constructor and for `frames_from_kv`.
     """
 
     frame_id: int
@@ -38,22 +40,9 @@ class FrameKV:
     _lse_memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # A frame owns read-only copies of its arrays: the kept descriptor
-        # and relevance statistics would go stale if the keys changed under
-        # them, and the caller's arrays stay as the caller left them.
-        for name in ("k", "v"):
-            arr = getattr(self, name).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.k.ndim != 4 or self.v.ndim != 4:
-            raise ShapeError("frame k/v must be [L, H, P, d] arrays")
-        if self.k.shape != self.v.shape:
-            raise ShapeError(f"k shape {self.k.shape} != v shape {self.v.shape}")
-        if self.k.shape[2] == 0:
-            raise ShapeError("a frame needs at least one token")
-        key_bound = float(np.abs(self.k).max())
-        if not (np.isfinite(key_bound) and np.isfinite(self.v).all()):
-            raise ShapeError("frame k/v contain non-finite entries")
+        (k,), (v,), (key_bound,) = _own_kv(self.k[None], self.v[None])
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "v", v)
         object.__setattr__(self, "key_bound", key_bound)
 
     @cached_property
@@ -84,6 +73,53 @@ class FrameKV:
         lse.setflags(write=False)
         object.__setattr__(self, "_lse_memo", (query, lse))
         return lse
+
+
+def _own_kv(k: np.ndarray, v: np.ndarray) -> tuple[list, list, list[float]]:
+    """The one rule for the arrays a frame holds, applied to n frames
+    stacked on a leading axis: k and v are [n, L, H, P, d].
+
+    Returns each frame's read-only copies of its K and V, and its key
+    bound max|k| as a float. A frame owns its copies: the kept descriptor
+    and relevance statistics would go stale if the keys changed under
+    them, the caller's arrays stay as the caller left them, and a frame
+    kept in the bank does not pin the stacked block. One abs-max
+    reduction gives every frame's bound and is also the check that K is
+    finite, since NaN and inf propagate through the max; one `isfinite`
+    covers V. Raises ShapeError on a bad shape or a non-finite entry.
+    """
+    if k.ndim != 5 or v.ndim != 5:
+        raise ShapeError("frame k/v must be [L, H, P, d] arrays")
+    if k.shape != v.shape:
+        raise ShapeError(f"k shape {k.shape[1:]} != v shape {v.shape[1:]}")
+    if k.shape[3] == 0:
+        raise ShapeError("a frame needs at least one token")
+    bounds = np.abs(k).max(axis=(1, 2, 3, 4)).tolist()
+    if not (all(map(math.isfinite, bounds)) and np.isfinite(v).all()):
+        raise ShapeError("frame k/v contain non-finite entries")
+    n = len(bounds)
+    return [_frozen_copy(k[i]) for i in range(n)], [_frozen_copy(v[i]) for i in range(n)], bounds
+
+
+def _frozen_copy(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+def frames_from_kv(first_id: int, k: np.ndarray, v: np.ndarray) -> list[FrameKV]:
+    """Frames first_id, first_id + 1, ... from K/V stacked [n, L, H, P, d],
+    checked and bounded once for the whole stack by `_own_kv`, the rule
+    `FrameKV` applies to a single frame. Each frame gets its own read-only
+    copies."""
+    frames = []
+    for i, (fk, fv, bound) in enumerate(zip(*_own_kv(k, v))):
+        # The stack passed FrameKV's checks as a whole, so each frame is
+        # built without running them again per frame.
+        frame = object.__new__(FrameKV)
+        frame.__dict__.update(frame_id=first_id + i, k=fk, v=fv, key_bound=bound, _lse_memo=None)
+        frames.append(frame)
+    return frames
 
 
 @dataclass(frozen=True)

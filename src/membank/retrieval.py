@@ -56,7 +56,7 @@ class TextQuery:
         object.__setattr__(self, "q", q)
         if self.q.ndim != 3:
             raise ShapeError("text query must be [L, H, d]")
-        if not np.all(np.isfinite(self.q)):
+        if not np.isfinite(self.q).all():
             raise ShapeError("text query contains non-finite entries")
 
     @cached_property

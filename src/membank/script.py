@@ -1,7 +1,8 @@
 """Narrative scripts: multi-segment prompt schedules with planted topics.
 
 File format is JSON: {"seed": int, "segments": [{"prompt_text": str,
-"topic": int, "chunks": int}, ...]}.
+"topic": int, "chunks": int}, ...]}. A field outside this schema is an
+error, as in config and grid files.
 """
 
 from __future__ import annotations
@@ -55,9 +56,24 @@ class NarrativeScript:
         raise ScriptError(f"chunk {chunk_id} beyond script length {offset}")
 
 
+# Each segment field: (name, type name for messages, validity check).
+_SEGMENT_FIELDS = (
+    ("prompt_text", "str", lambda x: isinstance(x, str)),
+    ("topic", "int", is_int),
+    ("chunks", "int", is_int),
+)
+
+
+def _reject_unknown(doc: dict, known, where: str) -> None:
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ScriptError(f"unknown {where} fields: {sorted(unknown)}")
+
+
 def script_from_dict(doc: dict) -> NarrativeScript:
     if not isinstance(doc, dict):
         raise ScriptError("script root must be a JSON object")
+    _reject_unknown(doc, ("seed", "segments"), "script")
     try:
         seed = doc["seed"]
         raw_segments = doc["segments"]
@@ -71,11 +87,8 @@ def script_from_dict(doc: dict) -> NarrativeScript:
     for i, raw in enumerate(raw_segments):
         if not isinstance(raw, dict):
             raise ScriptError(f"segment {i} must be an object")
-        for key, typ, valid in (
-            ("prompt_text", "str", lambda x: isinstance(x, str)),
-            ("topic", "int", is_int),
-            ("chunks", "int", is_int),
-        ):
+        _reject_unknown(raw, (key for key, *_ in _SEGMENT_FIELDS), f"segment {i}")
+        for key, typ, valid in _SEGMENT_FIELDS:
             if key not in raw:
                 raise ScriptError(f"segment {i} is missing field '{key}'")
             if not valid(raw[key]):

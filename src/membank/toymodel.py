@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .frames import FrameKV
+from .frames import FrameKV, frames_from_kv
 from .retrieval import TextQuery
 
 __all__ = [
@@ -76,9 +76,16 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TopicSpace:
-    """Orthonormal topic centroids in head-dim space plus a noise level."""
+    """Orthonormal topic centroids in head-dim space, their token
+    embeddings, and a noise level.
+
+    A topic's token embedding is its centroid tiled once per head, so
+    every head sees the planted direction. `make_topic_space` tiles every
+    topic once, so synthesis and prompt encoding index a row.
+    """
 
     centroids: np.ndarray  # [num_topics, d], unit rows
+    embeddings: np.ndarray  # [num_topics, model_dim], centroids tiled per head
     noise_eps: float
 
     def __post_init__(self):
@@ -89,10 +96,18 @@ class TopicSpace:
         if np.abs(off).max(initial=0.0) > 0.1:
             raise ConfigError("topic centroids must be near-orthogonal")
         self.centroids.setflags(write=False)
+        self.embeddings.setflags(write=False)
 
     @property
     def num_topics(self) -> int:
         return self.centroids.shape[0]
+
+    def embedding(self, topic: int) -> np.ndarray:
+        """Token embedding of a topic, [model_dim]; ConfigError if the
+        space has no such topic."""
+        if not 0 <= topic < self.num_topics:
+            raise ConfigError(f"unknown topic {topic}")
+        return self.embeddings[topic]
 
 
 @dataclass(frozen=True)
@@ -103,7 +118,7 @@ class ChunkTokens:
     frames: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.frames)):
+        if not np.isfinite(self.frames).all():
             raise ShapeError("chunk tokens contain non-finite entries")
 
 
@@ -143,7 +158,10 @@ def make_topic_space(num_topics: int, cfg: ModelConfig, noise_eps: float) -> Top
         )
     rng = _rng(cfg.seed, "topics")
     q, _ = np.linalg.qr(rng.standard_normal((cfg.head_dim, num_topics)))
-    return TopicSpace(centroids=np.ascontiguousarray(q.T), noise_eps=noise_eps)
+    centroids = np.ascontiguousarray(q.T)
+    return TopicSpace(
+        centroids=centroids, embeddings=np.tile(centroids, cfg.heads), noise_eps=noise_eps
+    )
 
 
 def init_weights(cfg: ModelConfig) -> Weights:
@@ -158,29 +176,23 @@ def init_weights(cfg: ModelConfig) -> Weights:
     return Weights(wq=wq, wk=wk, wv=wv)
 
 
-def _embed_centroid(space: TopicSpace, cfg: ModelConfig, topic: int) -> np.ndarray:
-    if not 0 <= topic < space.num_topics:
-        raise ConfigError(f"unknown topic {topic}")
-    return np.tile(space.centroids[topic], cfg.heads)
-
-
 def encode_prompt(
     text: str, topic: int, cfg: ModelConfig, space: TopicSpace, weights: Weights
 ) -> TextQuery:
     """Pooled per-(layer, head) query vectors for a prompt.
 
-    Token embeddings are the topic centroid plus a per-token perturbation
-    keyed on (seed, text, token index); same inputs give bit-identical
-    output.
+    Token embeddings are the topic's embedding plus a per-token
+    perturbation keyed on (seed, text, token index); same inputs give
+    bit-identical output. Each token's generator fills its row of one
+    noise array, which one expression scales and shifts for all tokens.
     """
     tokens = text.split()
     if not tokens:
         raise ConfigError("prompt text is empty")
-    centroid = _embed_centroid(space, cfg, topic)
-    emb = np.empty((len(tokens), cfg.model_dim))
-    for t, word in enumerate(tokens):
-        noise = _rng(cfg.seed, "prompt", text, t).standard_normal(cfg.model_dim)
-        emb[t] = centroid + PROMPT_JITTER * noise / np.sqrt(cfg.model_dim)
+    noise = np.empty((len(tokens), cfg.model_dim))
+    for t in range(len(tokens)):
+        _rng(cfg.seed, "prompt", text, t).standard_normal(out=noise[t])
+    emb = space.embedding(topic) + PROMPT_JITTER * noise / np.sqrt(cfg.model_dim)
     return TextQuery(q=np.matmul(emb, weights.wq).mean(axis=2))
 
 
@@ -189,23 +201,28 @@ def synth_chunk(
 ) -> ChunkTokens:
     """Planted-topic token embeddings for one chunk.
 
-    Each token is the (tiled) topic centroid plus seeded noise of
-    magnitude noise_eps; deterministic in (seed, chunk_id).
+    Each token is the topic's embedding plus seeded noise of magnitude
+    noise_eps, scaled and shifted in place; deterministic in (seed,
+    chunk_id).
     """
-    centroid = _embed_centroid(space, cfg, topic)
+    embedding = space.embedding(topic)
     rng = _rng(cfg.seed, "chunk", chunk_id)
-    noise = rng.standard_normal(
+    frames = rng.standard_normal(
         (cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.model_dim)
     )
-    frames = centroid + space.noise_eps * noise / np.sqrt(cfg.model_dim)
+    frames *= space.noise_eps
+    frames /= np.sqrt(cfg.model_dim)
+    frames += embedding
     return ChunkTokens(chunk_id=chunk_id, frames=frames)
 
 
 def project_kv(chunk: ChunkTokens, cfg: ModelConfig, weights: Weights) -> list[FrameKV]:
     """Per-frame K/V projections of a chunk's tokens, ids consecutive.
 
-    One matmul per weight projects the whole chunk; each `FrameKV` copies
-    its views, so a frame kept in the bank does not pin the chunk's K/V
+    One matmul per weight projects the whole chunk, and `frames_from_kv`
+    checks and bounds the chunk's K/V once: finite tokens can still
+    overflow K or V, which raises ShapeError. Each frame gets its own
+    copies, so a frame kept in the bank does not pin the chunk's K/V
     block.
     """
     if chunk.frames.shape != (cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.model_dim):
@@ -213,10 +230,7 @@ def project_kv(chunk: ChunkTokens, cfg: ModelConfig, weights: Weights) -> list[F
     tokens = chunk.frames[:, None, None]  # [T, 1, 1, P, M]
     k = np.matmul(tokens, weights.wk)  # [T, L, H, P, d]
     v = np.matmul(tokens, weights.wv)
-    return [
-        FrameKV(frame_id=chunk.chunk_id * cfg.frames_per_chunk + t, k=k[t], v=v[t])
-        for t in range(cfg.frames_per_chunk)
-    ]
+    return frames_from_kv(chunk.chunk_id * cfg.frames_per_chunk, k, v)
 
 
 def project_queries(chunk: ChunkTokens, cfg: ModelConfig, weights: Weights) -> np.ndarray:

@@ -154,13 +154,13 @@ def test_bench_runs(capsys, tmp_path):
     assert rc == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == [
-        "mode", "median", "chunks/s", "retrieval_update", "ms", "projection", "ms", "selection", "ms",
-        "attention", "ms", "minor", "faults/chunk",
+        "mode", "median", "chunks/s", "synthesis", "ms", "retrieval_update", "ms", "projection", "ms",
+        "selection", "ms", "attention", "ms", "minor", "faults/chunk",
     ]
     assert [row.split()[0] for row in rows] == [m.value for m in Mode]
     for row in rows:
-        cps, retrieval, projection, selection, attention, faults = map(float, row.split()[1:])
-        assert cps > 0 and projection > 0 and attention > 0
+        cps, synthesis, retrieval, projection, selection, attention, faults = map(float, row.split()[1:])
+        assert cps > 0 and synthesis > 0 and projection > 0 and attention > 0
         assert retrieval >= 0 and selection >= 0 and faults >= 0
 
 
@@ -257,6 +257,16 @@ def test_script_boolean_is_not_an_integer(tmp_path, capsys, field):
     path = tmp_path / "script.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert_one_error_line(main(["run", "--script", str(path)]), capsys, field)
+
+
+@pytest.mark.parametrize("where", ["script", "segment"])
+def test_script_unknown_field_rejected(tmp_path, capsys, where):
+    doc = json.loads(json.dumps(SCRIPT))
+    (doc if where == "script" else doc["segments"][1])["extra"] = 1
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["run", "--script", str(path)])
+    assert_one_error_line(rc, capsys, f"{path}: ", "unknown", where, "extra")
 
 
 def test_run_script_directory_rejected(tmp_path, capsys):

@@ -14,7 +14,7 @@ from membank.activation import select_top_k
 from membank.engine import LOGIT_BLOCK_BYTES, AttentionPlan, Mode, attend, initial_state, rollout, step_chunk
 from membank.errors import ScriptError
 from membank.frames import FrameKV
-from membank.metrics import chunk_digest
+from membank.metrics import chunk_digest, determinism_hash
 from membank.oracles import full_memory_attention_oracle, random_frames, sdp_attention_loop, sma_scores_loop
 from membank.script import NarrativeScript, Segment, parse_script
 from membank.toymodel import (
@@ -280,6 +280,27 @@ class TestAttentionPlan:
             assert not any(plan.shifted for plan in plans)
             if mode is Mode.NAM_FULL:
                 assert plans == [(4, 1, False)] + [(1, 1, False)] * 4 + [(1, 2, False)] * 7
+
+
+@pytest.mark.parametrize(
+    "cfg, hashes",
+    [
+        (ModelConfig(), ["0196211fbf8f5f71", "9c2a5890df8fc34e", "d2020a30c8798213", "68fb580b73090de7"]),
+        (
+            ModelConfig(tokens_per_frame=64, bank_capacity=12, sma_k=3),
+            ["9b25d534c4d77437", "3a015181e0623517", "b83b16bd3550031e", "38f66bf17c545504"],
+        ),
+    ],
+    ids=["default", "wide"],
+)
+def test_sample_script_hashes_are_pinned(cfg, hashes):
+    """Every `determinism_hash` of `sample_script.json`, in `Mode` order.
+
+    A change meant to keep every output bit must keep these. They were
+    recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on one thread; another
+    BLAS build may round its products differently and move them.
+    """
+    assert [determinism_hash(rollout(SAMPLE_SCRIPT, cfg, mode)) for mode in Mode] == hashes
 
 
 def digests(steps):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from membank.engine import Mode, initial_state, step_chunk
 from membank.errors import CapacityError, ConfigError, ShapeError
-from membank.frames import FrameKV, MemoryBank
+from membank.frames import FrameKV, MemoryBank, frames_from_kv
 from membank.metrics import chunk_digest
 from membank.oracles import random_frames
 from membank.retrieval import TextQuery
@@ -145,6 +145,24 @@ def test_key_bound_is_max_abs_key(rng):
     for f in projected + random_frames(rng, 3):
         assert f.key_bound == np.abs(f.k).max()
         assert isinstance(f.key_bound, float)
+
+
+def test_stacked_frames_match_single_frames(rng):
+    # frames_from_kv applies FrameKV's rule once to a stack of frames.
+    k, v = rng.standard_normal((2, 3, 2, 2, 4, 8))
+    stacked = frames_from_kv(5, k, v)
+    for i, f in enumerate(stacked):
+        single = FrameKV(5 + i, k[i], v[i])
+        assert f.frame_id == single.frame_id == 5 + i
+        assert f.key_bound == single.key_bound and isinstance(f.key_bound, float)
+        assert np.array_equal(f.k, single.k) and np.array_equal(f.v, single.v)
+        assert not (f.k.flags.writeable or f.v.flags.writeable)
+        assert not (np.shares_memory(f.k, k) or np.shares_memory(f.v, v))
+    v[1, 0, 1, 2, 3] = np.inf
+    with pytest.raises(ShapeError, match="non-finite"):
+        frames_from_kv(5, k, v)
+    with pytest.raises(ShapeError):
+        frames_from_kv(5, k, v[:, :, :, :, :1])
 
 
 def test_key_bound_is_not_an_argument_and_not_compared(rng):

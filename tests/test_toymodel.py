@@ -4,6 +4,7 @@ import pytest
 from membank.errors import ConfigError, ShapeError
 from membank.toymodel import (
     ModelConfig,
+    Weights,
     encode_prompt,
     init_weights,
     make_topic_space,
@@ -98,6 +99,11 @@ class TestSynthChunk:
         self.space0 = make_topic_space(2, CFG, 0.0)
         self.space = make_topic_space(2, CFG, 0.1)
 
+    def test_unknown_topic_errors(self):
+        for topic in (-1, 2):
+            with pytest.raises(ConfigError, match="unknown topic"):
+                synth_chunk(topic, 0, CFG, self.space)
+
     def test_zero_noise_gives_centroid(self):
         chunk = synth_chunk(0, 0, CFG, self.space0)
         tiled = np.tile(self.space0.centroids[0], CFG.heads)
@@ -174,11 +180,28 @@ class TestProjectKV:
                     assert np.allclose(queries[t, l, h], tokens @ self.w.wq[l, h], rtol=0, atol=1e-12)
 
     def test_frames_own_their_arrays(self):
+        # Each frame holds its own read-only copies, not views of the
+        # chunk's K/V block.
         frames = project_kv(synth_chunk(0, 1, CFG, self.space), CFG, self.w)
         arrays = [a for f in frames for a in (f.k, f.v)]
         for i, a in enumerate(arrays):
+            assert a.base is None and not a.flags.writeable
             for b in arrays[i + 1 :]:
                 assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("overflows", ["k", "v"])
+    def test_overflowing_projection_rejected(self, overflows):
+        # Tokens of magnitude 1e307 pass ChunkTokens' check and project
+        # to finite K/V. Scaling one weight by 1e3 makes that projection
+        # overflow to inf, which project_kv's one check over the chunk's
+        # K/V rejects.
+        chunk = synth_chunk(0, 0, CFG, self.space)
+        big = type(chunk)(chunk_id=0, frames=1e307 * np.sign(chunk.frames))
+        assert len(project_kv(big, CFG, self.w)) == CFG.frames_per_chunk
+        scale = {"k": 1.0, "v": 1.0, overflows: 1e3}
+        scaled = Weights(wq=self.w.wq, wk=scale["k"] * self.w.wk, wv=scale["v"] * self.w.wv)
+        with np.errstate(over="ignore"), pytest.raises(ShapeError, match="non-finite"):
+            project_kv(big, CFG, scaled)
 
     def test_non_finite_tokens_rejected(self):
         chunk = synth_chunk(0, 0, CFG, self.space)
