@@ -3,7 +3,8 @@
 Commands:
   run     one rollout, JSON metrics to stdout or --out
   ablate  mode x capacity grid, CSV or JSON report
-  verify  acceptance criteria 1-4 and 9 (exit 2 on failure)
+  verify  every acceptance criterion that does not depend on timing
+          (exit 2 on failure)
   bench   repeated timed runs, the modes taking turns: median throughput,
           phase times and minor page faults per chunk
 
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=cmd_ablate)
 
-    sp = sub.add_parser("verify", help="run acceptance criteria 1-4 and 9")
+    sp = sub.add_parser("verify", help="run the acceptance criteria that do not depend on timing")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("bench", help="repeated timed runs per mode")

@@ -22,6 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .activation import ActivationSet, select_top_k, sma_scores
+from .errors import ShapeError
 from .frames import FrameKV, MemoryBank
 from .retrieval import TextQuery, memory_update
 from .script import NarrativeScript
@@ -180,8 +181,10 @@ def attend(
     kept across calls.
 
     Since |q.k| <= d * max|q| * max|k|, the max shift that keeps exp from
-    overflowing runs only when that bound exceeds `unshifted_bound` (or is
-    NaN). Shifted, the slices merge as in an online softmax (FlashAttention,
+    overflowing runs only when that bound exceeds `unshifted_bound`. A
+    bound that is not finite raises ShapeError: the logits themselves
+    could then overflow, and no shift rescues a row whose max is inf.
+    Shifted, the slices merge as in an online softmax (FlashAttention,
     Dao et al. 2022): each slice shifts by the running row max `m`, and
     when a slice raises it the sum so far is rescaled to match.
 
@@ -192,8 +195,10 @@ def attend(
     T, G, P, d = q.shape
     n_keys = k.shape[2]
     n_ctx = n_keys - T * P
-    bound = d * np.maximum(q.max(), -q.min()) * key_bound
-    shift = not bound <= unshifted_bound
+    bound = d * max(float(q.max()), -float(q.min())) * key_bound
+    if not math.isfinite(bound):
+        raise ShapeError(f"logit bound {bound} is not finite: the attention logits can overflow")
+    shift = bound > unshifted_bound
     row_keys = max(1, budget // (8 * P))  # keys whose float64 logits fit
     g = max(1, min(G, row_keys // n_keys))  # pairs per block
     s = -(-n_keys // row_keys)  # key slices per row; g = 1 when s > 1

@@ -136,6 +136,8 @@ def run_ablation_grid(
 
     chunks_per_second is the median over `repeats` runs; everything else
     comes from the first run (all runs are bit-identical apart from time).
+    `nam_sma`'s L2 gap is taken against the cell's first `nam_full` run,
+    which is rolled out only when the grid has no `nam_full` of its own.
     """
     if not modes:
         raise ConfigError("ablation grid needs at least one mode")
@@ -144,14 +146,15 @@ def run_ablation_grid(
     rows = []
     for b in b_values:
         cell_cfg = replace(cfg, bank_capacity=b, sma_k=min(cfg.sma_k, b + cfg.frames_per_chunk))
-        full_run = None
-        if Mode.NAM_SMA in modes:
-            full_run = rollout(script, cell_cfg, Mode.NAM_FULL, noise_eps)
+        cells = []  # (mode, first run, median chunks/s), in grid order
         for mode in modes:
             runs = [rollout(script, cell_cfg, mode, noise_eps) for _ in range(repeats)]
-            cps = statistics.median(len(r.results) / r.elapsed_seconds for r in runs)
-            m = compute_metrics(runs[0], full_run if mode is Mode.NAM_SMA else None)
-            m = replace(m, chunks_per_second=cps)
+            cells.append((mode, runs[0], statistics.median(len(r.results) / r.elapsed_seconds for r in runs)))
+        full_run = next((run for mode, run, _ in cells if mode is Mode.NAM_FULL), None)
+        if full_run is None and Mode.NAM_SMA in modes:
+            full_run = rollout(script, cell_cfg, Mode.NAM_FULL, noise_eps)
+        for mode, run, cps in cells:
+            m = replace(compute_metrics(run, full_run if mode is Mode.NAM_SMA else None), chunks_per_second=cps)
             rows.append({"mode": mode.value, "bank_capacity": b, **metrics_to_dict(m)})
     cps_by_mode: dict[Mode, float] = {}
     for row in rows:  # each mode's first capacity

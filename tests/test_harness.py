@@ -16,6 +16,7 @@ from membank.metrics import (
 )
 from membank.script import NarrativeScript, Segment, parse_script
 from membank.toymodel import ModelConfig
+from membank.verify import revisiting_script
 
 CFG = ModelConfig(seed=4)
 
@@ -74,21 +75,13 @@ def single_topic_script(chunks=4):
     return NarrativeScript(seed=11, segments=(Segment("only topic", 0, chunks),))
 
 
-def revisiting_script(seed=11):
-    pattern = [0, 1, 2, 0, 1, 0]
-    return NarrativeScript(
-        seed=seed,
-        segments=tuple(Segment(f"scene {i}", t, 2) for i, t in enumerate(pattern)),
-    )
-
-
 class TestRetrievalPrecision:
     def test_single_topic_is_perfect(self):
         run = rollout(single_topic_script(), CFG, Mode.NAM_FULL)
         assert retrieval_precision(run) == 1.0
 
     def test_zero_noise_orthogonal_topics(self):
-        run = rollout(revisiting_script(), CFG, Mode.NAM_FULL, noise_eps=0.0)
+        run = rollout(revisiting_script(11), CFG, Mode.NAM_FULL, noise_eps=0.0)
         assert retrieval_precision(run) == 1.0
 
     def test_wrong_mode_rejected(self):
@@ -113,8 +106,8 @@ class TestMetrics:
         assert sma_vs_full_l2(run, run) == 0.0
 
     def test_compute_metrics_fields(self):
-        sma = rollout(revisiting_script(), CFG, Mode.NAM_SMA)
-        full = rollout(revisiting_script(), CFG, Mode.NAM_FULL)
+        sma = rollout(revisiting_script(11), CFG, Mode.NAM_SMA)
+        full = rollout(revisiting_script(11), CFG, Mode.NAM_FULL)
         m = compute_metrics(sma, full)
         assert 0.0 <= m.retrieval_precision <= 1.0
         assert m.sma_vs_full_l2 >= 0.0
@@ -123,8 +116,8 @@ class TestMetrics:
         assert len(m.determinism_hash) == 16
 
     def test_determinism_hash_repeatable(self):
-        a = rollout(revisiting_script(), CFG, Mode.NAM_SMA)
-        b = rollout(revisiting_script(), CFG, Mode.NAM_SMA)
+        a = rollout(revisiting_script(11), CFG, Mode.NAM_SMA)
+        b = rollout(revisiting_script(11), CFG, Mode.NAM_SMA)
         assert determinism_hash(a) == determinism_hash(b)
 
     def test_hash_ignores_wall_time(self):
@@ -142,11 +135,26 @@ class TestMetrics:
 
 
 class TestAblationGrid:
-    def test_all_modes_one_capacity(self):
-        report = run_ablation_grid(revisiting_script(), CFG, list(Mode), [3])
+    def test_all_modes_one_capacity(self, monkeypatch):
+        import membank.metrics
+
+        calls = []
+
+        def counted(script, cfg, mode, noise_eps):
+            calls.append(mode)
+            return rollout(script, cfg, mode, noise_eps)
+
+        monkeypatch.setattr(membank.metrics, "rollout", counted)
+        report = run_ablation_grid(revisiting_script(11), CFG, list(Mode), [3])
         assert len(report["rows"]) == 4
         cps = {Mode(r["mode"]): r["chunks_per_second"] for r in report["rows"]}
         assert report["throughput_ordering_ok"] is throughput_ordering(cps)
+        # One rollout per mode: nam_sma's L2 gap reuses the grid's own
+        # nam_full run. CFG's capacity is 3, so the cell's config is CFG.
+        assert calls == list(Mode)
+        sma, full = (rollout(revisiting_script(11), CFG, m) for m in (Mode.NAM_SMA, Mode.NAM_FULL))
+        gap = report["rows"][list(Mode).index(Mode.NAM_SMA)]["sma_vs_full_l2"]
+        assert gap > 0 and gap == pytest.approx(sma_vs_full_l2(sma, full), rel=1e-8)
 
     def test_throughput_ordering_predicate(self):
         cps = {Mode.NO_MEMORY: 4.0, Mode.FRAME_SINK: 3.0, Mode.NAM_SMA: 2.0, Mode.NAM_FULL: 1.0}
@@ -157,13 +165,13 @@ class TestAblationGrid:
         assert throughput_ordering({m: c for m, c in cps.items() if m is not Mode.FRAME_SINK}) is None
 
     def test_capacity_sweep_rows(self):
-        report = run_ablation_grid(revisiting_script(), CFG, [Mode.NAM_FULL], [3, 6, 9])
+        report = run_ablation_grid(revisiting_script(11), CFG, [Mode.NAM_FULL], [3, 6, 9])
         assert [r["bank_capacity"] for r in report["rows"]] == [3, 6, 9]
         assert report["throughput_ordering_ok"] is None
 
     def test_empty_modes_error(self):
         with pytest.raises(ConfigError):
-            run_ablation_grid(revisiting_script(), CFG, [], [3])
+            run_ablation_grid(revisiting_script(11), CFG, [], [3])
 
     def test_csv_shape(self):
         report = run_ablation_grid(single_topic_script(2), CFG, [Mode.NO_MEMORY], [3])
@@ -175,8 +183,8 @@ class TestAblationGrid:
         assert len(lines) == 2
 
     def test_rows_deterministic_modulo_time(self):
-        a = run_ablation_grid(revisiting_script(), CFG, [Mode.NAM_SMA], [3])
-        b = run_ablation_grid(revisiting_script(), CFG, [Mode.NAM_SMA], [3])
+        a = run_ablation_grid(revisiting_script(11), CFG, [Mode.NAM_SMA], [3])
+        b = run_ablation_grid(revisiting_script(11), CFG, [Mode.NAM_SMA], [3])
         ra, rb = a["rows"][0], b["rows"][0]
         assert ra.pop("chunks_per_second") > 0 and rb.pop("chunks_per_second") > 0
         assert ra == rb
