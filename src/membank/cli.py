@@ -30,7 +30,7 @@ from .metrics import (
     metrics_to_json,
     run_ablation_grid,
 )
-from .script import NarrativeScript, is_int, parse_script, read_json
+from .script import NarrativeScript, Segment, is_int, parse_script, read_json
 from .toymodel import ModelConfig
 from .verify import run_all_checks
 
@@ -150,13 +150,9 @@ def cmd_bench(args) -> int:
     if args.script:
         script = _effective_script(parse_script(args.script), args.seed)
     else:
-        from .script import Segment
-
         script = NarrativeScript(
             seed=args.seed if args.seed is not None else 0,
-            segments=tuple(
-                Segment(f"benchmark segment {i}", i % 3, 5) for i in range(4)
-            ),
+            segments=tuple(Segment(f"benchmark segment {i}", i % 3, 5) for i in range(4)),
         )
     # Each repeat runs every mode once, so no mode takes all of the
     # process's warm-up and each finds the heap as the others leave it.

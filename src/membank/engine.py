@@ -50,16 +50,14 @@ __all__ = [
     "rollout",
 ]
 
-# Logit bytes one batched attention block may hold, along both axes: a
-# block takes as many (layer, head) pairs as fit, and a pair whose row of
-# logits alone exceeds it splits its key axis into slices that fit. 512
-# KiB keeps a block inside a 2 MiB L2 cache and, at P=64, splits only
-# rows above 1024 keys: from about 960 keys on one pair's value product
-# costs about 1.7 ns per logit, against 1.1 below; see the README's
-# "Attention" note.
+# Logit bytes one attention product may hold: every product covers all
+# (layer, head) pairs, and a row whose logits for all pairs exceed it is
+# cut into key slices that fit. 512 KiB keeps a product's logits inside a
+# 2 MiB L2 cache and, at P=64 with 4 pairs, cuts rows into slices of at
+# most 256 keys; see the README's "Attention" note.
 LOGIT_BLOCK_BYTES = 512 * 1024
 
-# Largest bound on |logit| at which a block skips the max shift: every
+# Largest bound on |logit| at which `attend` skips the max shift: every
 # exp then lies in [e^-64, e^64], far inside float64's range, so neither
 # the numerator nor the row sum can overflow or underflow to zero. See
 # the README's "Attention" note.
@@ -109,10 +107,9 @@ class RolloutState:
 
 
 class AttentionPlan(NamedTuple):
-    """How `attend` ran: (layer, head) pairs per batched block, key slices
-    per full row, and whether the max shift ran."""
+    """How `attend` ran: key slices per full row, and whether the max
+    shift ran."""
 
-    pairs_per_block: int
     slices: int
     shifted: bool
 
@@ -170,15 +167,12 @@ def attend(
     prefix that ends with its own frame, so the intra-chunk causal mask is
     a slice. `key_bound` is at least max|k| over all N keys.
 
-    One batched block covers as many pairs as fit `budget` bytes of
-    float64 logits: at small P this saves numpy calls, at large P one pair
-    fills the block and a bigger one would outgrow L2 cache. When one
-    pair's row of logits alone exceeds the budget, each query frame splits
-    its keys into `s` near-equal slices and adds each slice's value
-    product into its row. A block runs all T query frames before the next
-    block starts, so its pairs' K/V stay in cache across frames. The logit
-    and row buffers are views of this thread's workspace (`_scratch`),
-    kept across calls.
+    Every `matmul -> exp -> matmul` covers all G pairs. When a row's
+    logits for all pairs exceed `budget` bytes of float64, each query
+    frame cuts its prefix into `s` near-equal key slices, none wider than
+    the budget allows, and adds each slice's value product into its row.
+    The logit and row buffers are views of this thread's workspace
+    (`_scratch`), kept across calls.
 
     Since |q.k| <= d * max|q| * max|k|, the max shift that keeps exp from
     overflowing runs only when that bound exceeds `unshifted_bound`. A
@@ -199,39 +193,33 @@ def attend(
     if not math.isfinite(bound):
         raise ShapeError(f"logit bound {bound} is not finite: the attention logits can overflow")
     shift = bound > unshifted_bound
-    row_keys = max(1, budget // (8 * P))  # keys whose float64 logits fit
-    g = max(1, min(G, row_keys // n_keys))  # pairs per block
-    s = -(-n_keys // row_keys)  # key slices per row; g = 1 when s > 1
-    logits = _scratch("logits", (g * P * min(n_keys, row_keys),))
+    row_keys = max(1, budget // (8 * G * P))  # keys whose float64 logits fit, for all pairs
+    s = -(-n_keys // row_keys)  # key slices per full row
+    logits = _scratch("logits", (G * P * min(n_keys, row_keys),))
     num = _scratch("num", (T, G, P, d + 1))  # unnormalised outputs ++ row sums
-    part = _scratch("part", (g, P, d + 1))  # a later slice's value product
+    part = _scratch("part", (G, P, d + 1))  # a later slice's value product
     attended = 0
-    for lo in range(0, G, g):
-        hi = min(lo + g, G)
-        for i in range(T):
-            n = n_ctx + (i + 1) * P
-            acc = num[i, lo:hi]
-            s_i = min(s, n)
-            for j in range(s_i):
-                a, b = j * n // s_i, (j + 1) * n // s_i
-                w = np.matmul(
-                    q[i, lo:hi], k[lo:hi, :, a:b],
-                    out=logits[: (hi - lo) * P * (b - a)].reshape(hi - lo, P, b - a),
-                )
-                if shift:
-                    m_new = w.max(axis=2, keepdims=True)
-                    if j:
-                        np.maximum(m_new, m, out=m_new)
-                        acc *= np.exp(m - m_new)
-                    m = m_new
-                    w -= m
-                np.exp(w, out=w)
+    for i in range(T):
+        n = n_ctx + (i + 1) * P
+        acc = num[i]
+        s_i = min(s, n)
+        for j in range(s_i):
+            a, b = j * n // s_i, (j + 1) * n // s_i
+            w = np.matmul(q[i], k[:, :, a:b], out=logits[: G * P * (b - a)].reshape(G, P, b - a))
+            if shift:
+                m_new = w.max(axis=2, keepdims=True)
                 if j:
-                    acc += np.matmul(w, v[lo:hi, a:b], out=part[: hi - lo])
-                else:
-                    np.matmul(w, v[lo:hi, a:b], out=acc)
-            attended += (hi - lo) * P * n
-    return num[..., :d] / num[..., d:], attended, AttentionPlan(g, s, shift)
+                    np.maximum(m_new, m, out=m_new)
+                    acc *= np.exp(m - m_new)
+                m = m_new
+                w -= m
+            np.exp(w, out=w)
+            if j:
+                acc += np.matmul(w, v[:, a:b], out=part)
+            else:
+                np.matmul(w, v[:, a:b], out=acc)
+        attended += G * P * n
+    return num[..., :d] / num[..., d:], attended, AttentionPlan(s, shift)
 
 
 def step_chunk(

@@ -111,7 +111,10 @@ def check_relevance_scores() -> tuple[bool, str]:
 
 
 def check_capacity_invariant() -> tuple[bool, str]:
-    """Criterion 4: over 10 000 updates, length <= capacity, prototype last."""
+    """Criterion 4: over 10 000 updates, length <= capacity, and the bank
+    is the retained frames, then the prototype; the retained frames are
+    the exhaustive best subset of the relevance scores the update
+    returns."""
     rng = np.random.default_rng(4)
     updates = 0
     while updates < 10_000:
@@ -120,9 +123,12 @@ def check_capacity_invariant() -> tuple[bool, str]:
         q = TextQuery(rng.standard_normal((1, 1, 4)))
         for step in range(int(rng.integers(1, 12))):
             chunk = random_frames(rng, 2, layers=1, heads=1, tokens=2, dim=4, start_id=step * 2)
-            bank, _, _ = memory_update(bank, q, chunk)
+            old = bank.frames
+            bank, retained, scores = memory_update(bank, q, chunk)
             updates += 1
-            if len(bank) > cap or bank.frames[-1].frame_id != chunk[0].frame_id:
+            best = [old[i].frame_id for i in best_subset(scores, min(cap - 1, len(old)))]
+            ids = [f.frame_id for f in bank.frames]
+            if len(bank) > cap or retained != best or ids != best + [chunk[0].frame_id]:
                 return False, ""
     return True, ""
 

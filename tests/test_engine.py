@@ -175,30 +175,26 @@ def attend_oracle(q, k, v):
     return out
 
 
-# Logit budgets with the (pairs per block, key slices) each gives on the
-# default `attend_operands`, G = 4 pairs of P = 4 queries over N = 20 keys:
-# one pair per block; all pairs in one block (the default budget); 3 pairs
-# per block, which leaves a remainder block of 1 pair; and one pair per
-# block cut into 2 or 3 key slices.
-COLUMN = 8 * 4  # bytes of one key column of logits
-BLOCK_PLANS = {
-    "g1": (COLUMN * 20, 1, 1),
-    "gG": (LOGIT_BLOCK_BYTES, 4, 1),
-    "g3": (COLUMN * 20 * 3, 3, 1),
-    "s2": (COLUMN * 10, 1, 2),
-    "s3": (COLUMN * 7, 1, 3),
+# Logit budgets with the key slices each gives on the default
+# `attend_operands`, G = 4 pairs of P = 4 queries over N = 20 keys: the
+# whole row in one product (the default budget), then the row cut into 2
+# or 3 key slices.
+COLUMN = 8 * 4 * 4  # bytes of one key column of logits, for all pairs
+SLICE_PLANS = {
+    "s1": (LOGIT_BLOCK_BYTES, 1),
+    "s2": (COLUMN * 10, 2),
+    "s3": (COLUMN * 7, 3),
 }
 
 
 class TestLogitBlocks:
-    """`attend` in each block and slice plan, shifted and unshifted,
-    against the scalar-loop oracle. The pairs-per-block rule changes the
-    grouping of the products, never a byte of the output; key slices and
-    the max shift change only rounding."""
+    """`attend` in each slice plan, shifted and unshifted, against the
+    scalar-loop oracle. Key slices and the max shift change only
+    rounding."""
 
-    @pytest.mark.parametrize("case", list(BLOCK_PLANS))
+    @pytest.mark.parametrize("case", list(SLICE_PLANS))
     def test_budget_keeps_outputs(self, case, rng):
-        budget, g, s = BLOCK_PLANS[case]
+        budget, s = SLICE_PLANS[case]
         # At amplitude 1 the logit bound stays below UNSHIFTED_LOGIT_BOUND.
         # At 1e3 logits reach about 1e4, so exp overflows unless shifted,
         # and later slices raise the running row max.
@@ -206,8 +202,8 @@ class TestLogitBlocks:
             q, k, v, key_bound = attend_operands(rng, amplitude)
             ref, _, ref_plan = attend(q, k, v, key_bound)
             out, keys, plan = attend(q, k, v, key_bound, budget=budget)
-            assert ref_plan == (4, 1, shifted)
-            assert plan == AttentionPlan(g, s, shifted)
+            assert ref_plan == (1, shifted)
+            assert plan == AttentionPlan(s, shifted)
             assert keys == 4 * 4 * (12 + 16 + 20)  # G·P queries over each frame's prefix
             assert np.max(np.abs(out - attend_oracle(q, k, v))) <= 1e-9
             if s == 1:
@@ -215,7 +211,7 @@ class TestLogitBlocks:
             else:
                 assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
             forced, _, forced_plan = attend(q, k, v, key_bound, budget=budget, unshifted_bound=0.0)
-            assert forced_plan == (g, s, True)
+            assert forced_plan == (s, True)
             assert np.max(np.abs(forced - out)) <= 1e-12 * np.max(np.abs(out))
 
     def test_overflowing_logit_bound_rejected(self, rng):
@@ -234,33 +230,31 @@ WIDE_CFG = ModelConfig(tokens_per_frame=64, bank_capacity=12, sma_k=3, seed=3)
 
 
 class TestLogitBudget:
-    """Whenever one key column of logits fits the budget (8·P bytes), the
-    plan keeps every logits product within it: a row longer than the
-    budget is cut into key slices, one pair per block, instead of
-    overshooting it as one pair."""
+    """Whenever one key column of logits for all pairs fits the budget
+    (8·G·P bytes), no logits product exceeds it: a row longer than the
+    budget is cut into key slices that fit."""
 
     @pytest.mark.parametrize(
         "cfg, budget",
         [
             (CFG, LOGIT_BLOCK_BYTES),
-            (CFG, 8 * CFG.tokens_per_frame),  # one key per slice
-            (CFG, 8 * CFG.tokens_per_frame * 7 + 5),  # not a multiple of a column
+            (CFG, 8 * CFG.layers * CFG.heads * CFG.tokens_per_frame),  # one key per slice
+            (CFG, 8 * CFG.layers * CFG.heads * CFG.tokens_per_frame * 7 + 5),  # not a multiple of a column
             (WIDE_CFG, LOGIT_BLOCK_BYTES),
             (WIDE_CFG, 100_000),
         ],
         ids=["default", "default-one-key", "default-odd", "wide", "wide-odd"],
     )
     def test_no_logits_product_exceeds_budget(self, cfg, budget, rng):
-        T, P = cfg.frames_per_chunk, cfg.tokens_per_frame
-        assert 8 * P <= budget
+        G, T, P = cfg.layers * cfg.heads, cfg.frames_per_chunk, cfg.tokens_per_frame
+        assert 8 * G * P <= budget
         # Every row length a chunk meets, up to nam_full's with a full
         # bank and window.
         widest = (2 * T + cfg.bank_capacity + cfg.local_window) * P
         for n_ctx in range(0, widest - T * P + 1, P):
-            q, k, v, key_bound = attend_operands(rng, G=cfg.layers * cfg.heads, P=P, n_ctx=n_ctx, d=2)
-            _, _, (g, s, _) = attend(q, k, v, key_bound, budget=budget)
-            assert 8 * g * P * -(-k.shape[2] // s) <= budget
-            assert g == 1 or s == 1
+            q, k, v, key_bound = attend_operands(rng, G=G, P=P, n_ctx=n_ctx, d=2)
+            _, _, (s, _) = attend(q, k, v, key_bound, budget=budget)
+            assert 8 * G * P * -(-k.shape[2] // s) <= budget
 
 
 SAMPLE_SCRIPT = parse_script(Path(__file__).parents[1] / "sample_script.json")
@@ -273,15 +267,20 @@ class TestAttentionPlan:
     def test_default_geometry_runs_one_block_unshifted(self):
         for mode in Mode:
             run = rollout(SAMPLE_SCRIPT, ModelConfig(), mode)
-            assert {res.attention_plan for res in run.results} == {AttentionPlan(4, 1, False)}
+            assert {res.attention_plan for res in run.results} == {AttentionPlan(1, False)}
 
     def test_wide_geometry_slices_only_long_rows(self):
-        # nam_full's rows pass R = 1024 keys once the bank holds 5 frames.
+        # At P=64 a product over all 4 pairs fits R = 256 keys, so every
+        # row past the first chunk's is cut.
+        slices = {
+            Mode.NO_MEMORY: [1, 2] + [3] * 10,
+            Mode.FRAME_SINK: [1] + [3] * 11,
+            Mode.NAM_FULL: [1, 3] + [4] * 3 + [5] * 4 + [6] * 3,
+            Mode.NAM_SMA: [1] + [3] * 11,
+        }
         for mode in Mode:
             plans = [res.attention_plan for res in rollout(SAMPLE_SCRIPT, WIDE_CFG, mode).results]
-            assert not any(plan.shifted for plan in plans)
-            if mode is Mode.NAM_FULL:
-                assert plans == [(4, 1, False)] + [(1, 1, False)] * 4 + [(1, 2, False)] * 7
+            assert plans == [AttentionPlan(s, False) for s in slices[mode]]
 
 
 @pytest.mark.parametrize(
@@ -290,7 +289,7 @@ class TestAttentionPlan:
         (ModelConfig(), ["0196211fbf8f5f71", "9c2a5890df8fc34e", "d2020a30c8798213", "68fb580b73090de7"]),
         (
             ModelConfig(tokens_per_frame=64, bank_capacity=12, sma_k=3),
-            ["9b25d534c4d77437", "3a015181e0623517", "b83b16bd3550031e", "38f66bf17c545504"],
+            ["ac9e56cca433aaa6", "2ccc01af2ee3dffc", "c94d471b3c7861be", "53230f3d0aa039bc"],
         ),
     ],
     ids=["default", "wide"],
