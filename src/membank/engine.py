@@ -47,6 +47,7 @@ __all__ = [
     "initial_state",
     "attend",
     "step_chunk",
+    "script_inputs",
     "rollout",
 ]
 
@@ -326,37 +327,45 @@ def step_chunk(
     return new_state, result
 
 
+def script_inputs(script: NarrativeScript, cfg: ModelConfig, noise_eps: float = 0.05):
+    """The config seeded by `script`, the weights, and a lazy stream of
+    each chunk's (prompt, tokens, synthesis seconds): its `synth_chunk`
+    time plus its share of the segment's `encode_prompt`."""
+    cfg = replace(cfg, seed=script.seed)
+    weights = init_weights(cfg)
+    space = make_topic_space(script.num_topics, cfg, noise_eps)
+
+    def chunks():
+        chunk_id = 0
+        for seg in script.segments:
+            t0 = time.perf_counter()
+            prompt = encode_prompt(seg.prompt_text, seg.topic, cfg, space, weights)
+            prompt_share = (time.perf_counter() - t0) / seg.chunks
+            for _ in range(seg.chunks):
+                t0 = time.perf_counter()
+                chunk = synth_chunk(seg.topic, chunk_id, cfg, space)
+                yield prompt, chunk, time.perf_counter() - t0 + prompt_share
+                chunk_id += 1
+
+    return cfg, weights, chunks()
+
+
 def rollout(
     script: NarrativeScript,
     cfg: ModelConfig,
     mode: Mode,
     noise_eps: float = 0.05,
 ) -> RolloutRun:
-    """Run a full multi-segment script and collect per-chunk records.
-
-    The script's seed drives all synthesis; prompts switch at segment
-    boundaries. Each result's `wall_time` also gets a "synthesis" entry:
-    the chunk's `synth_chunk` time plus its share of the segment's
-    `encode_prompt`, which runs outside `step_chunk`.
-    """
-    cfg = replace(cfg, seed=script.seed)
-    weights = init_weights(cfg)
-    space = make_topic_space(script.num_topics, cfg, noise_eps)
+    """Run a full multi-segment script, synthesising each chunk just
+    before stepping it, and collect per-chunk records; each result's
+    `wall_time` gets the chunk's synthesis seconds as "synthesis"."""
+    cfg, weights, inputs = script_inputs(script, cfg, noise_eps)
     state = initial_state(cfg, mode)
     results: list[ChunkResult] = []
     started = time.perf_counter()
-    chunk_id = 0
-    for seg in script.segments:
-        t0 = time.perf_counter()
-        prompt = encode_prompt(seg.prompt_text, seg.topic, cfg, space, weights)
-        prompt_share = (time.perf_counter() - t0) / seg.chunks
-        for _ in range(seg.chunks):
-            t0 = time.perf_counter()
-            chunk = synth_chunk(seg.topic, chunk_id, cfg, space)
-            synthesis = time.perf_counter() - t0 + prompt_share
-            state, res = step_chunk(state, prompt, chunk, cfg, weights)
-            res.wall_time["synthesis"] = synthesis
-            results.append(res)
-            chunk_id += 1
+    for prompt, chunk, synthesis in inputs:
+        state, res = step_chunk(state, prompt, chunk, cfg, weights)
+        res.wall_time["synthesis"] = synthesis
+        results.append(res)
     elapsed = time.perf_counter() - started
     return RolloutRun(mode=mode, cfg=cfg, script=script, results=results, elapsed_seconds=elapsed)

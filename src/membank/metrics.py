@@ -1,4 +1,5 @@
-"""Rollout metrics, report assembly, and the ablation grid."""
+"""Rollout metrics, report assembly, the one timing loop, and the
+ablation grid."""
 
 from __future__ import annotations
 
@@ -6,13 +7,15 @@ import csv
 import hashlib
 import io
 import json
+import resource
 import statistics
+import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import Mode, RolloutRun, rollout
+from .engine import Mode, RolloutRun, initial_state, rollout, script_inputs, step_chunk
 from .errors import ConfigError, InapplicableMetricError
 from .script import NarrativeScript
 from .toymodel import ModelConfig
@@ -24,6 +27,9 @@ __all__ = [
     "retrieval_precision",
     "sma_vs_full_l2",
     "compute_metrics",
+    "ModeTimes",
+    "time_modes",
+    "check_grid",
     "run_ablation_grid",
     "throughput_ordering",
     "metrics_to_json",
@@ -123,6 +129,68 @@ def compute_metrics(run: RolloutRun, full_run: Optional[RolloutRun] = None) -> R
     )
 
 
+@dataclass
+class ModeTimes:
+    """One mode's first timed pass in `time_modes`, and what every timed pass measured."""
+
+    run: RolloutRun  # elapsed_seconds: its step_chunk plus synthesis seconds
+    step_seconds: list[float]  # per timed pass
+    wall_times: list[dict[str, float]]  # per chunk of every timed pass
+    minor_faults: list[int]  # per timed pass
+
+
+def time_modes(
+    script: NarrativeScript,
+    cfg: ModelConfig,
+    modes: Sequence[Mode],
+    noise_eps: float = 0.05,
+    repeats: int = 3,
+) -> dict[Mode, ModeTimes]:
+    """Time distinct `modes` over one stream of `script_inputs`, built once.
+
+    One untimed pass, which takes the process's slow first chunks, then
+    `repeats` timed passes. In each pass every mode steps a fresh state
+    chunk by chunk, the mode order rotated by chunk index, so no mode
+    steps first more often than another and load from elsewhere falls on
+    every mode alike. Only `step_chunk` is timed; its minor page faults
+    are read outside the timer. Passes are bit-identical apart from time.
+    """
+    cfg, weights, inputs = script_inputs(script, cfg, noise_eps)
+    inputs = list(inputs)
+    synthesis_seconds = sum(synthesis for *_, synthesis in inputs)
+    times = {mode: ModeTimes(RolloutRun(mode, cfg, script, [], 0.0), [], [], []) for mode in modes}
+    for timed in range(-1, repeats):  # -1 is the untimed pass
+        states = {mode: initial_state(cfg, mode) for mode in modes}
+        seconds = dict.fromkeys(modes, 0.0)
+        faults = dict.fromkeys(modes, 0)
+        for i, (prompt, chunk, synthesis) in enumerate(inputs):
+            for mode in modes[i % len(modes) :] + modes[: i % len(modes)]:
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                started = time.perf_counter()
+                states[mode], res = step_chunk(states[mode], prompt, chunk, cfg, weights)
+                seconds[mode] += time.perf_counter() - started
+                faults[mode] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+                res.wall_time["synthesis"] = synthesis
+                if timed >= 0:
+                    times[mode].wall_times.append(res.wall_time)
+                if timed == 0:
+                    times[mode].run.results.append(res)
+        if timed >= 0:
+            for mode, t in times.items():
+                t.step_seconds.append(seconds[mode])
+                t.minor_faults.append(faults[mode])
+                t.run.elapsed_seconds = t.step_seconds[0] + synthesis_seconds
+    return times
+
+
+def check_grid(modes: Sequence[Mode], b_values: Sequence[int]) -> None:
+    """Reject a grid with no mode or capacity, one listed twice, or a capacity below 1."""
+    if not modes or len(set(modes)) < len(modes):
+        raise ConfigError(f"ablation grid needs distinct modes, at least one, got {[m.value for m in modes]}")
+    if not b_values or len(set(b_values)) < len(b_values) or min(b_values) < 1:
+        raise ConfigError(f"ablation grid needs distinct capacities >= 1, at least one, got {list(b_values)}")
+
+
 def run_ablation_grid(
     script: NarrativeScript,
     cfg: ModelConfig,
@@ -131,34 +199,35 @@ def run_ablation_grid(
     noise_eps: float = 0.05,
     repeats: int = 1,
 ) -> dict:
-    """One flat row per (mode, bank capacity): the mode, the capacity and
-    the `metrics_to_dict` fields.
-
-    chunks_per_second is the median over `repeats` runs; everything else
-    comes from the first run (all runs are bit-identical apart from time).
-    `nam_sma`'s L2 gap is taken against the cell's first `nam_full` run,
-    which is rolled out only when the grid has no `nam_full` of its own.
-    """
-    if not modes:
-        raise ConfigError("ablation grid needs at least one mode")
-    if not b_values:
-        raise ConfigError("ablation grid needs at least one bank capacity")
+    """One flat row per (mode, bank capacity), from one `time_modes` call
+    per capacity: the first timed pass's `metrics_to_dict` fields, but
+    chunks_per_second is the median over passes of chunks / (step_chunk +
+    synthesis seconds), the work rollout's counts; then the median ms per
+    chunk of each `wall_time` phase and the median minor faults per chunk.
+    `nam_sma`'s L2 gap is against the same pass's `nam_full`, rolled out
+    on its own only when the grid has none."""
+    check_grid(modes, b_values)
+    if repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {repeats}")
     rows = []
     for b in b_values:
         cell_cfg = replace(cfg, bank_capacity=b, sma_k=min(cfg.sma_k, b + cfg.frames_per_chunk))
-        cells = []  # (mode, first run, median chunks/s), in grid order
-        for mode in modes:
-            runs = [rollout(script, cell_cfg, mode, noise_eps) for _ in range(repeats)]
-            cells.append((mode, runs[0], statistics.median(len(r.results) / r.elapsed_seconds for r in runs)))
-        full_run = next((run for mode, run, _ in cells if mode is Mode.NAM_FULL), None)
-        if full_run is None and Mode.NAM_SMA in modes:
+        times = time_modes(script, cell_cfg, modes, noise_eps, repeats)
+        full_run = times[Mode.NAM_FULL].run if Mode.NAM_FULL in times else None
+        if full_run is None and Mode.NAM_SMA in times:
             full_run = rollout(script, cell_cfg, Mode.NAM_FULL, noise_eps)
-        for mode, run, cps in cells:
-            m = replace(compute_metrics(run, full_run if mode is Mode.NAM_SMA else None), chunks_per_second=cps)
-            rows.append({"mode": mode.value, "bank_capacity": b, **metrics_to_dict(m)})
-    cps_by_mode: dict[Mode, float] = {}
-    for row in rows:  # each mode's first capacity
-        cps_by_mode.setdefault(Mode(row["mode"]), row["chunks_per_second"])
+        for mode, t in times.items():
+            n = len(t.run.results)
+            synthesis = sum(r.wall_time["synthesis"] for r in t.run.results)
+            m = compute_metrics(t.run, full_run if mode is Mode.NAM_SMA else None)
+            m = replace(m, chunks_per_second=statistics.median(n / (s + synthesis) for s in t.step_seconds))
+            row = {"mode": mode.value, "bank_capacity": b, **metrics_to_dict(m)}
+            for name in t.wall_times[0]:
+                row[f"{name}_ms"] = _sig9(statistics.median(1e3 * w[name] for w in t.wall_times))
+            row["minor_faults_per_chunk"] = _sig9(statistics.median(f / n for f in t.minor_faults))
+            rows.append(row)
+    # Each mode's first capacity sets its throughput.
+    cps_by_mode = {Mode(row["mode"]): row["chunks_per_second"] for row in reversed(rows)}
     return {"rows": rows, "throughput_ordering_ok": throughput_ordering(cps_by_mode)}
 
 

@@ -69,7 +69,7 @@ def test_ablate_csv(script_path, tmp_path, capsys):
     out = tmp_path / "grid.csv"
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"modes": ["no_memory", "nam_full"], "b_values": [3, 4]}))
-    rc = main(["ablate", "--script", script_path, "--grid", str(grid), "--out", str(out)])
+    rc = main(["bench", "--script", script_path, "--grid", str(grid), "--out", str(out)])
     assert rc == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 4
@@ -81,7 +81,7 @@ def test_ablate_json_rows_match_csv(script_path, tmp_path, capsys):
     grid.write_text(json.dumps({"modes": ["no_memory", "nam_sma"], "b_values": [3, 4]}))
     out_json, out_csv = tmp_path / "g.json", tmp_path / "g.csv"
     for out in (out_json, out_csv):
-        assert main(["ablate", "--script", script_path, "--grid", str(grid), "--out", str(out)]) == 0
+        assert main(["bench", "--script", script_path, "--grid", str(grid), "--out", str(out)]) == 0
     doc = json.loads(out_json.read_text())
     header = out_csv.read_text().splitlines()[0].split(",")
     assert list(doc) == ["rows", "throughput_ordering_ok"]
@@ -93,9 +93,9 @@ def test_ablate_json_rows_match_csv(script_path, tmp_path, capsys):
 
 
 def test_ablate_default_grid_prints_table(script_path, capsys):
-    assert main(["ablate", "--script", script_path]) == 0
+    assert main(["bench", "--script", script_path]) == 0
     out = capsys.readouterr().out
-    assert "mode" in out and "chunks/s" in out
+    assert "mode" in out and "chunks_per_second" in out
 
 
 def test_verify_passes(capsys, monkeypatch):
@@ -141,15 +141,18 @@ def test_bench_runs(capsys, tmp_path):
     cfg.write_text(json.dumps({"tokens_per_frame": 4, "head_dim": 4}))
     rc = main(["bench", "--repeat", "1", "--config", str(cfg)])
     assert rc == 0
-    header, *rows = capsys.readouterr().out.splitlines()
+    header, *rows, ordering = capsys.readouterr().out.splitlines()
     assert header.split() == [
-        "mode", "median", "chunks/s", "synthesis", "ms", "retrieval_update", "ms", "projection", "ms",
-        "selection", "ms", "attention", "ms", "minor", "faults/chunk",
+        "mode", "bank_capacity", "retrieval_precision", "sma_vs_full_l2", "mean_attended_keys", "chunks_per_second",
+        "determinism_hash", "retrieval_update_ms", "projection_ms", "selection_ms", "attention_ms", "synthesis_ms",
+        "minor_faults_per_chunk",
     ]
-    assert [row.split()[0] for row in rows] == [m.value for m in Mode]
+    assert [row.split()[:2] for row in rows] == [[m.value, "3"] for m in Mode]
+    assert ordering.startswith("throughput ordering ok: ")
     for row in rows:
-        cps, synthesis, retrieval, projection, selection, attention, faults = map(float, row.split()[1:])
-        assert cps > 0 and synthesis > 0 and projection > 0 and attention > 0
+        keys, cps = map(float, row.split()[4:6])
+        retrieval, projection, selection, attention, synthesis, faults = map(float, row.split()[7:])
+        assert keys > 0 and cps > 0 and synthesis > 0 and projection > 0 and attention > 0
         assert retrieval >= 0 and selection >= 0 and faults >= 0
 
 
@@ -189,12 +192,10 @@ def test_config_must_be_object(script_path, tmp_path, capsys):
     assert_one_error_line(rc, capsys, str(cfg), "object")
 
 
-@pytest.mark.parametrize("command", ["ablate", "bench"])
 @pytest.mark.parametrize("repeat", ["0", "-2"])
-def test_repeat_below_one_rejected(script_path, capsys, command, repeat):
-    assert main([command, "--script", script_path, "--repeat", repeat]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--repeat" in err and err.count("\n") == 1
+def test_repeat_below_one_rejected(script_path, capsys, repeat):
+    rc = main(["bench", "--script", script_path, "--repeat", repeat])
+    assert_one_error_line(rc, capsys, f"repeats must be >= 1, got {repeat}")
 
 
 def assert_one_error_line(rc, capsys, *words):
@@ -213,17 +214,25 @@ def assert_one_error_line(rc, capsys, *words):
         ({"modes": ["bogus"]}, "bogus"),
         ({"modes": [["nam_full"]]}, "modes"),
         ({"mode": ["nam_full"]}, "mode"),
+        ({"modes": []}, "distinct modes, at least one, got []"),
+        ({"modes": ["nam_sma", "nam_sma"]}, "distinct modes, at least one, got ['nam_sma', 'nam_sma']"),
+        ({"b_values": []}, "distinct capacities >= 1, at least one, got []"),
+        ({"b_values": [3, 3]}, "distinct capacities >= 1, at least one, got [3, 3]"),
+        ({"b_values": [0]}, "distinct capacities >= 1, at least one, got [0]"),
     ],
-    ids=["list", "b_values_string", "b_values_float", "unknown_mode", "unhashable_mode", "unknown_field"],
+    ids=[
+        "list", "b_values_string", "b_values_float", "unknown_mode", "unhashable_mode", "unknown_field",
+        "no_modes", "repeated_mode", "no_b_values", "repeated_b", "b_below_one",
+    ],
 )
 def test_ablate_bad_grid_rejected(script_path, tmp_path, capsys, grid, word):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(grid))
-    rc = main(["ablate", "--script", script_path, "--grid", str(path)])
+    rc = main(["bench", "--script", script_path, "--grid", str(path)])
     assert_one_error_line(rc, capsys, f"{path}: ", word)
 
 
-@pytest.mark.parametrize("command, flag", [("run", "--config"), ("ablate", "--grid")])
+@pytest.mark.parametrize("command, flag", [("run", "--config"), ("bench", "--grid")])
 @pytest.mark.parametrize(
     "content, words",
     [(b"\xff\xfe", ["not UTF-8"]), (b'{"layers": 2,\n', ["invalid JSON", "line 2"])],

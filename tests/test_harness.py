@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from membank.engine import Mode, rollout
+from membank import metrics
+from membank.engine import Mode, rollout, step_chunk
 from membank.errors import ConfigError, InapplicableMetricError, ScriptError
 from membank.metrics import (
     compute_metrics,
@@ -13,6 +15,7 @@ from membank.metrics import (
     run_ablation_grid,
     sma_vs_full_l2,
     throughput_ordering,
+    time_modes,
 )
 from membank.script import NarrativeScript, Segment, parse_script
 from membank.toymodel import ModelConfig
@@ -135,26 +138,23 @@ class TestMetrics:
 
 
 class TestAblationGrid:
-    def test_all_modes_one_capacity(self, monkeypatch):
-        import membank.metrics
-
-        calls = []
-
-        def counted(script, cfg, mode, noise_eps):
-            calls.append(mode)
-            return rollout(script, cfg, mode, noise_eps)
-
-        monkeypatch.setattr(membank.metrics, "rollout", counted)
-        report = run_ablation_grid(revisiting_script(11), CFG, list(Mode), [3])
-        assert len(report["rows"]) == 4
-        cps = {Mode(r["mode"]): r["chunks_per_second"] for r in report["rows"]}
+    def test_rows_hash_as_rollouts(self):
+        report = run_ablation_grid(revisiting_script(11), CFG, list(Mode), [2, 4])
+        assert [(r["mode"], r["bank_capacity"]) for r in report["rows"]] == [(m.value, b) for b in (2, 4) for m in Mode]
+        cps = {Mode(r["mode"]): r["chunks_per_second"] for r in report["rows"][:4]}
         assert report["throughput_ordering_ok"] is throughput_ordering(cps)
-        # One rollout per mode: nam_sma's L2 gap reuses the grid's own
-        # nam_full run. CFG's capacity is 3, so the cell's config is CFG.
-        assert calls == list(Mode)
-        sma, full = (rollout(revisiting_script(11), CFG, m) for m in (Mode.NAM_SMA, Mode.NAM_FULL))
-        gap = report["rows"][list(Mode).index(Mode.NAM_SMA)]["sma_vs_full_l2"]
-        assert gap > 0 and gap == pytest.approx(sma_vs_full_l2(sma, full), rel=1e-8)
+        for b in (2, 4):
+            runs = {m: rollout(revisiting_script(11), replace(CFG, bank_capacity=b), m) for m in Mode}
+            rows = {Mode(r["mode"]): r for r in report["rows"] if r["bank_capacity"] == b}
+            assert all(rows[m]["determinism_hash"] == determinism_hash(runs[m]) for m in Mode)
+            gap = rows[Mode.NAM_SMA]["sma_vs_full_l2"]
+            assert gap > 0 and gap == pytest.approx(sma_vs_full_l2(runs[Mode.NAM_SMA], runs[Mode.NAM_FULL]), rel=1e-8)
+
+    def test_modes_take_turns(self, monkeypatch):
+        order = []
+        monkeypatch.setattr(metrics, "step_chunk", lambda state, *a: order.append(state.mode) or step_chunk(state, *a))
+        time_modes(single_topic_script(5), CFG, list(Mode), repeats=2)  # one untimed pass, then 2 timed
+        assert order == 3 * [m for i in range(5) for m in list(Mode)[i % 4 :] + list(Mode)[: i % 4]]
 
     def test_throughput_ordering_predicate(self):
         cps = {Mode.NO_MEMORY: 4.0, Mode.FRAME_SINK: 3.0, Mode.NAM_SMA: 2.0, Mode.NAM_FULL: 1.0}
@@ -173,12 +173,18 @@ class TestAblationGrid:
         with pytest.raises(ConfigError):
             run_ablation_grid(revisiting_script(11), CFG, [], [3])
 
+    @pytest.mark.parametrize("repeats", [0, -2])
+    def test_repeats_below_one_error(self, repeats):
+        with pytest.raises(ConfigError, match=f"repeats must be >= 1, got {repeats}"):
+            run_ablation_grid(revisiting_script(11), CFG, [Mode.NAM_SMA], [3], repeats=repeats)
+
     def test_csv_shape(self):
         report = run_ablation_grid(single_topic_script(2), CFG, [Mode.NO_MEMORY], [3])
         lines = grid_to_csv(report).strip().splitlines()
         assert lines[0] == ",".join(report["rows"][0]) == (
             "mode,bank_capacity,retrieval_precision,sma_vs_full_l2,"
-            "mean_attended_keys,chunks_per_second,determinism_hash"
+            "mean_attended_keys,chunks_per_second,determinism_hash,retrieval_update_ms,"
+            "projection_ms,selection_ms,attention_ms,synthesis_ms,minor_faults_per_chunk"
         )
         assert len(lines) == 2
 
@@ -186,5 +192,9 @@ class TestAblationGrid:
         a = run_ablation_grid(revisiting_script(11), CFG, [Mode.NAM_SMA], [3])
         b = run_ablation_grid(revisiting_script(11), CFG, [Mode.NAM_SMA], [3])
         ra, rb = a["rows"][0], b["rows"][0]
-        assert ra.pop("chunks_per_second") > 0 and rb.pop("chunks_per_second") > 0
+        assert ra.pop("minor_faults_per_chunk") >= 0 and rb.pop("minor_faults_per_chunk") >= 0
+        for timed in [k for k in ra if k.endswith("_ms")] + ["chunks_per_second"]:
+            assert ra.pop(timed) > 0 and rb.pop(timed) > 0
+        # With no nam_full in the grid, nam_sma's gap comes from a rollout of its own.
+        assert ra["sma_vs_full_l2"] > 0
         assert ra == rb
