@@ -1,9 +1,10 @@
 """Frame-level KV storage: single frames and the capacity-bounded bank.
 
-A frame stores its key/value projections for every (layer, head) as two
-arrays of shape [L, H, P, d]. Banks are immutable snapshots; updates
-return new banks. The rollout's frame sink is a bank too, sized to one
-chunk and filled once.
+A frame holds its key/value projections for every (layer, head) as two
+read-only [L, H, P, d] views of its chunk's K/V stacks (`_own_kv`), so a
+frame kept in a bank keeps its chunk's stacks alive. Banks are immutable
+snapshots; updates return new banks. The rollout's frame sink is a bank
+too, sized to one chunk and filled once.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ class FrameKV:
     per frame. `key_bound` is max |k| over the whole frame, computed once
     when the frame is built: the attention kernel bounds its logits by
     it, and it is also the check that k is finite, since NaN and inf
-    propagate through the max. `_own_kv` states the checks, the bound and
-    the copying once, for this constructor and for `frames_from_kv`.
+    propagate through the max. `_own_kv` states the copying, the checks
+    and the bound once, for this constructor and for `frames_from_kv`.
     """
 
     frame_id: int
@@ -40,9 +41,9 @@ class FrameKV:
     _lse_memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        (k,), (v,), (key_bound,) = _own_kv(self.k[None], self.v[None])
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "v", v)
+        k, v, (key_bound,) = _own_kv(self.k[None], self.v[None])
+        object.__setattr__(self, "k", k[0])
+        object.__setattr__(self, "v", v[0])
         object.__setattr__(self, "key_bound", key_bound)
 
     @cached_property
@@ -75,18 +76,18 @@ class FrameKV:
         return lse
 
 
-def _own_kv(k: np.ndarray, v: np.ndarray) -> tuple[list, list, list[float]]:
-    """The one rule for the arrays a frame holds, applied to n frames
+def _own_kv(k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """The one rule for the arrays frames hold, applied to n frames
     stacked on a leading axis: k and v are [n, L, H, P, d].
 
-    Returns each frame's read-only copies of its K and V, and its key
-    bound max|k| as a float. A frame owns its copies: the kept descriptor
-    and relevance statistics would go stale if the keys changed under
-    them, the caller's arrays stay as the caller left them, and a frame
-    kept in the bank does not pin the stacked block. One abs-max
-    reduction gives every frame's bound and is also the check that K is
-    finite, since NaN and inf propagate through the max; one `isfinite`
-    covers V. Raises ShapeError on a bad shape or a non-finite entry.
+    Copies each stack once, C-contiguous and read-only; frame i's arrays
+    are the views k[i] and v[i]. Returns the two copies and each frame's
+    key bound max|k| as a float. The copies keep the frames' descriptor
+    and relevance memos from going stale and leave the caller's arrays as
+    the caller left them. One abs-max reduction gives every bound and is
+    also the check that K is finite, since NaN and inf propagate through
+    the max; one `isfinite` covers V. Raises ShapeError on a bad shape or
+    a non-finite entry.
     """
     if k.ndim != 5 or v.ndim != 5:
         raise ShapeError("frame k/v must be [L, H, P, d] arrays")
@@ -94,30 +95,26 @@ def _own_kv(k: np.ndarray, v: np.ndarray) -> tuple[list, list, list[float]]:
         raise ShapeError(f"k shape {k.shape[1:]} != v shape {v.shape[1:]}")
     if k.shape[3] == 0:
         raise ShapeError("a frame needs at least one token")
+    k, v = k.copy(), v.copy()
     bounds = np.abs(k).max(axis=(1, 2, 3, 4)).tolist()
     if not (all(map(math.isfinite, bounds)) and np.isfinite(v).all()):
         raise ShapeError("frame k/v contain non-finite entries")
-    n = len(bounds)
-    return [_frozen_copy(k[i]) for i in range(n)], [_frozen_copy(v[i]) for i in range(n)], bounds
-
-
-def _frozen_copy(a: np.ndarray) -> np.ndarray:
-    a = a.copy()
-    a.setflags(write=False)
-    return a
+    k.setflags(write=False)
+    v.setflags(write=False)
+    return k, v, bounds
 
 
 def frames_from_kv(first_id: int, k: np.ndarray, v: np.ndarray) -> list[FrameKV]:
     """Frames first_id, first_id + 1, ... from K/V stacked [n, L, H, P, d],
-    checked and bounded once for the whole stack by `_own_kv`, the rule
-    `FrameKV` applies to a single frame. Each frame gets its own read-only
-    copies."""
+    copied, checked and bounded once for the whole stack by `_own_kv`,
+    the rule `FrameKV` applies to a single frame."""
+    k, v, bounds = _own_kv(k, v)
     frames = []
-    for i, (fk, fv, bound) in enumerate(zip(*_own_kv(k, v))):
+    for i, bound in enumerate(bounds):
         # The stack passed FrameKV's checks as a whole, so each frame is
         # built without running them again per frame.
         frame = object.__new__(FrameKV)
-        frame.__dict__.update(frame_id=first_id + i, k=fk, v=fv, key_bound=bound, _lse_memo=None)
+        frame.__dict__.update(frame_id=first_id + i, k=k[i], v=v[i], key_bound=bound, _lse_memo=None)
         frames.append(frame)
     return frames
 

@@ -131,9 +131,9 @@ def compute_metrics(run: RolloutRun, full_run: Optional[RolloutRun] = None) -> R
 
 @dataclass
 class ModeTimes:
-    """One mode's first timed pass in `time_modes`, and what every timed pass measured."""
+    """One mode in `time_modes`: the untimed pass's results, and what every timed pass measured."""
 
-    run: RolloutRun  # elapsed_seconds: its step_chunk plus synthesis seconds
+    run: RolloutRun  # elapsed_seconds: the first timed pass's step_chunk plus synthesis seconds
     step_seconds: list[float]  # per timed pass
     wall_times: list[dict[str, float]]  # per chunk of every timed pass
     minor_faults: list[int]  # per timed pass
@@ -153,7 +153,9 @@ def time_modes(
     chunk by chunk, the mode order rotated by chunk index, so no mode
     steps first more often than another and load from elsewhere falls on
     every mode alike. Only `step_chunk` is timed; its minor page faults
-    are read outside the timer. Passes are bit-identical apart from time.
+    are read outside the timer. Passes are bit-identical apart from time,
+    so each mode keeps the untimed pass's `ChunkResult`s, and no timed
+    pass grows the heap to hold its own.
     """
     cfg, weights, inputs = script_inputs(script, cfg, noise_eps)
     inputs = list(inputs)
@@ -173,7 +175,7 @@ def time_modes(
                 res.wall_time["synthesis"] = synthesis
                 if timed >= 0:
                     times[mode].wall_times.append(res.wall_time)
-                if timed == 0:
+                else:
                     times[mode].run.results.append(res)
         if timed >= 0:
             for mode, t in times.items():
@@ -200,7 +202,7 @@ def run_ablation_grid(
     repeats: int = 1,
 ) -> dict:
     """One flat row per (mode, bank capacity), from one `time_modes` call
-    per capacity: the first timed pass's `metrics_to_dict` fields, but
+    per capacity: the untimed pass's `metrics_to_dict` fields, but
     chunks_per_second is the median over passes of chunks / (step_chunk +
     synthesis seconds), the work rollout's counts; then the median ms per
     chunk of each `wall_time` phase and the median minor faults per chunk.

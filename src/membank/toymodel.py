@@ -220,10 +220,10 @@ def project_kv(chunk: ChunkTokens, cfg: ModelConfig, weights: Weights) -> list[F
     """Per-frame K/V projections of a chunk's tokens, ids consecutive.
 
     One matmul per weight projects the whole chunk, and `frames_from_kv`
-    checks and bounds the chunk's K/V once: finite tokens can still
-    overflow K or V, which raises ShapeError. Each frame gets its own
-    copies, so a frame kept in the bank does not pin the chunk's K/V
-    block.
+    copies, checks and bounds the chunk's K/V once: finite tokens can
+    still overflow K or V, which raises ShapeError. The frames hold
+    read-only views of that one copy of K and one of V, so a frame kept
+    in the bank or the sink keeps the chunk's K/V alive.
     """
     if chunk.frames.shape != (cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.model_dim):
         raise ShapeError(f"chunk token shape {chunk.frames.shape} does not match config")

@@ -15,7 +15,7 @@ from membank.activation import select_top_k, sma_scores
 from membank.engine import Mode, initial_state, step_chunk
 from membank.errors import ConfigError, EmptyMemoryError, ShapeError
 from membank.frames import FrameKV, MemoryBank
-from membank.oracles import best_subset, random_frames, sma_scores_loop
+from membank.oracles import best_subset, random_frames
 from membank.retrieval import TextQuery
 from membank.toymodel import (
     ChunkTokens,
@@ -28,6 +28,8 @@ from membank.toymodel import (
     query_descriptor,
     synth_chunk,
 )
+
+from loop_oracles import sma_scores_loop
 
 
 def frame(k, frame_id=0):

@@ -15,7 +15,7 @@ from membank.engine import LOGIT_BLOCK_BYTES, AttentionPlan, Mode, attend, initi
 from membank.errors import ScriptError, ShapeError
 from membank.frames import FrameKV
 from membank.metrics import chunk_digest, determinism_hash
-from membank.oracles import full_memory_attention_oracle, random_frames, sdp_attention_loop, sma_scores_loop
+from membank.oracles import random_frames
 from membank.script import NarrativeScript, Segment, parse_script
 from membank.toymodel import (
     ModelConfig,
@@ -27,6 +27,8 @@ from membank.toymodel import (
     synth_chunk,
 )
 from membank.verify import sma_full_pool_identity
+
+from loop_oracles import full_memory_attention_oracle, sdp_attention_loop, sma_scores_loop
 
 CFG = ModelConfig(seed=3)
 

@@ -148,16 +148,26 @@ def test_key_bound_is_max_abs_key(rng):
 
 
 def test_stacked_frames_match_single_frames(rng):
-    # frames_from_kv applies FrameKV's rule once to a stack of frames.
+    # frames_from_kv applies FrameKV's rule once to a stack of frames:
+    # one read-only copy of the stacked K and one of V, viewed per frame.
     k, v = rng.standard_normal((2, 3, 2, 2, 4, 8))
     stacked = frames_from_kv(5, k, v)
+    for name, passed in (("k", k), ("v", v)):
+        (base,) = {id(getattr(f, name).base): getattr(f, name).base for f in stacked}.values()
+        assert not base.flags.writeable and not np.shares_memory(base, passed)
+        with pytest.raises(ValueError, match="read-only"):
+            base[0, 0, 0, 0, 0] = 1.0
     for i, f in enumerate(stacked):
         single = FrameKV(5 + i, k[i], v[i])
         assert f.frame_id == single.frame_id == 5 + i
         assert f.key_bound == single.key_bound and isinstance(f.key_bound, float)
-        assert np.array_equal(f.k, single.k) and np.array_equal(f.v, single.v)
-        assert not (f.k.flags.writeable or f.v.flags.writeable)
-        assert not (np.shares_memory(f.k, k) or np.shares_memory(f.v, v))
+        for a, b in ((f.k, single.k), (f.v, single.v)):
+            assert np.array_equal(a, b) and not np.shares_memory(a, b)
+            assert not (a.flags.writeable or b.flags.writeable or b.base.flags.writeable)
+            assert a.flags.c_contiguous and b.flags.c_contiguous
+            assert not (np.shares_memory(a, k) or np.shares_memory(a, v))
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0, 0, 0] = 1.0
     v[1, 0, 1, 2, 3] = np.inf
     with pytest.raises(ShapeError, match="non-finite"):
         frames_from_kv(5, k, v)

@@ -156,6 +156,13 @@ class TestAblationGrid:
         time_modes(single_topic_script(5), CFG, list(Mode), repeats=2)  # one untimed pass, then 2 timed
         assert order == 3 * [m for i in range(5) for m in list(Mode)[i % 4 :] + list(Mode)[: i % 4]]
 
+    def test_results_kept_from_the_untimed_pass(self):
+        times = time_modes(single_topic_script(5), CFG, list(Mode), repeats=2)
+        for t in times.values():
+            assert len(t.run.results) == 5 and len(t.wall_times) == 2 * 5
+            timed = {id(w) for w in t.wall_times}
+            assert not any(id(r.wall_time) in timed for r in t.run.results)
+
     def test_throughput_ordering_predicate(self):
         cps = {Mode.NO_MEMORY: 4.0, Mode.FRAME_SINK: 3.0, Mode.NAM_SMA: 2.0, Mode.NAM_FULL: 1.0}
         assert throughput_ordering(cps) is True

@@ -1,5 +1,5 @@
 """The attention maths the checks rest on: the scalar-loop attention
-oracle (`membank.oracles.sdp_attention_loop`), against hand cases and a
+oracle (`loop_oracles.sdp_attention_loop`), against hand cases and a
 numpy softmax."""
 
 import math
@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from membank.errors import ShapeError
-from membank.oracles import sdp_attention_loop
+
+from loop_oracles import sdp_attention_loop
 
 finite_matrices = arrays(
     np.float64,

@@ -180,14 +180,24 @@ class TestProjectKV:
                     assert np.allclose(queries[t, l, h], tokens @ self.w.wq[l, h], rtol=0, atol=1e-12)
 
     def test_frames_own_their_arrays(self):
-        # Each frame holds its own read-only copies, not views of the
-        # chunk's K/V block.
-        frames = project_kv(synth_chunk(0, 1, CFG, self.space), CFG, self.w)
-        arrays = [a for f in frames for a in (f.k, f.v)]
-        for i, a in enumerate(arrays):
-            assert a.base is None and not a.flags.writeable
-            for b in arrays[i + 1 :]:
-                assert not np.shares_memory(a, b)
+        # The chunk's K and V are copied once each; every frame holds
+        # read-only views of those two copies.
+        chunk = synth_chunk(0, 1, CFG, self.space)
+        frames = project_kv(chunk, CFG, self.w)
+        for name in ("k", "v"):
+            arrays = [getattr(f, name) for f in frames]
+            (base,) = {id(a.base): a.base for a in arrays}.values()
+            assert base.shape == (CFG.frames_per_chunk, *arrays[0].shape)
+            assert not base.flags.writeable and base.base is None
+            for t, a in enumerate(arrays):
+                assert not a.flags.writeable and a.flags.c_contiguous
+                assert np.array_equal(a, base[t]) and np.shares_memory(a, base[t])
+                for caller in (chunk.frames, self.w.wk, self.w.wv):
+                    assert not np.shares_memory(a, caller)
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0, 0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                base[0, 0, 0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("overflows", ["k", "v"])
     def test_overflowing_projection_rejected(self, overflows):
