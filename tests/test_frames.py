@@ -153,7 +153,8 @@ def test_stacked_frames_match_single_frames(rng):
     k, v = rng.standard_normal((2, 3, 2, 2, 4, 8))
     stacked = frames_from_kv(5, k, v)
     for name, passed in (("k", k), ("v", v)):
-        (base,) = {id(getattr(f, name).base): getattr(f, name).base for f in stacked}.values()
+        base = getattr(stacked[0], name).base
+        assert all(getattr(f, name).base is base for f in stacked)
         assert not base.flags.writeable and not np.shares_memory(base, passed)
         with pytest.raises(ValueError, match="read-only"):
             base[0, 0, 0, 0, 0] = 1.0

@@ -186,7 +186,8 @@ class TestProjectKV:
         frames = project_kv(chunk, CFG, self.w)
         for name in ("k", "v"):
             arrays = [getattr(f, name) for f in frames]
-            (base,) = {id(a.base): a.base for a in arrays}.values()
+            base = arrays[0].base
+            assert all(a.base is base for a in arrays)
             assert base.shape == (CFG.frames_per_chunk, *arrays[0].shape)
             assert not base.flags.writeable and base.base is None
             for t, a in enumerate(arrays):
