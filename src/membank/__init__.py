@@ -6,7 +6,7 @@ and rollout harness for exercising them."""
 from .activation import ActivationSet, select_top_k
 from .engine import Mode, rollout, step_chunk
 from .frames import FrameKV, MemoryBank
-from .metrics import RolloutMetrics, compute_metrics, run_ablation_grid
+from .metrics import RolloutMetrics, bench_modes, compute_metrics
 from .retrieval import TextQuery, memory_update, text_relevance_scores
 from .script import NarrativeScript, Segment, parse_script
 from .toymodel import ModelConfig, TopicSpace, init_weights, make_topic_space
@@ -21,7 +21,7 @@ __all__ = [
     "MemoryBank",
     "RolloutMetrics",
     "compute_metrics",
-    "run_ablation_grid",
+    "bench_modes",
     "TextQuery",
     "memory_update",
     "text_relevance_scores",

@@ -4,12 +4,14 @@ Commands:
   run     one rollout, JSON metrics to stdout or --out
   verify  every acceptance criterion that does not depend on timing
           (exit 2 on failure)
-  bench   mode x capacity grid, the modes stepping chunk by chunk in
-          turn over timed passes: per row the metrics, median throughput,
-          phase times and minor page faults per chunk; a table, and a CSV
-          or JSON report with --out
+  bench   the four modes at the --config geometry over --script, stepping
+          chunk by chunk in turn over timed passes: per mode the
+          metrics, median throughput, phase times and minor page faults
+          per chunk, and whether the throughput ordering holds; a table,
+          and a CSV or JSON report with --out
 
-Exit codes: 0 success, 1 validation failure, 2 verify/acceptance failure.
+Exit codes: 0 success, 1 validation failure (a usage error included),
+2 verify/acceptance failure.
 The seed comes from the script; the --seed flag overrides it.
 """
 
@@ -23,8 +25,8 @@ from pathlib import Path
 
 from .engine import Mode, rollout
 from .errors import ConfigError, MembankError
-from .metrics import check_grid, compute_metrics, grid_to_csv, metrics_to_json, run_ablation_grid
-from .script import NarrativeScript, Segment, is_int, parse_script, read_json
+from .metrics import bench_modes, compute_metrics, metrics_to_json, rows_to_csv
+from .script import NarrativeScript, is_int, parse_script, read_json
 from .toymodel import ModelConfig
 from .verify import run_all_checks
 
@@ -51,37 +53,9 @@ def load_config(path) -> ModelConfig:
         raise ConfigError(f"{path}: {e}") from e
 
 
-def load_grid(path, cfg: ModelConfig) -> tuple[list[Mode], list[int]]:
-    """Modes and bank capacities of an ablation grid file. A field the
-    file leaves out, or every field when path is None, defaults to all
-    modes and the config's bank capacity. A schema error, or one of
-    `check_grid`'s, names the file."""
-    doc = {} if path is None else read_json(path, ConfigError)
-    try:
-        if not isinstance(doc, dict):
-            raise ConfigError("grid file must hold a JSON object")
-        unknown = set(doc) - {"modes", "b_values"}
-        if unknown:
-            raise ConfigError(f"unknown grid fields: {sorted(unknown)}")
-        names = doc.get("modes", list(MODE_NAMES))
-        if not isinstance(names, list) or not all(isinstance(n, str) and n in MODE_NAMES for n in names):
-            raise ConfigError(f"grid modes must be a list drawn from {list(MODE_NAMES)}, got {names!r}")
-        b_values = doc.get("b_values", [cfg.bank_capacity])
-        if not isinstance(b_values, list) or not all(map(is_int, b_values)):
-            raise ConfigError(f"grid b_values must be a list of integers, got {b_values!r}")
-        modes = [MODE_NAMES[n] for n in names]
-        check_grid(modes, b_values)
-    except ConfigError as e:
-        raise ConfigError(f"{path}: {e}") from e
-    return modes, b_values
-
-
 def _load_script(args) -> NarrativeScript:
-    """The --script file, or bench's built-in script without one; --seed
-    overrides its seed."""
-    script = parse_script(args.script) if args.script else NarrativeScript(
-        seed=0, segments=tuple(Segment(f"benchmark segment {i}", i % 3, 5) for i in range(4))
-    )
+    """The --script file, with its seed overridden by --seed."""
+    script = parse_script(args.script)
     return script if args.seed is None else dataclasses.replace(script, seed=args.seed)
 
 
@@ -110,24 +84,30 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = load_config(args.config)
-    script = _load_script(args)
-    modes, b_values = load_grid(args.grid, cfg)
-    report = run_ablation_grid(script, cfg, modes, b_values, noise_eps=args.noise_eps, repeats=args.repeat)
+    report = bench_modes(_load_script(args), cfg, noise_eps=args.noise_eps, repeats=args.repeat)
     widths = {name: max(len(name), 10) for name in report["rows"][0]}
     print(" ".join(f"{name:>{w}}" for name, w in widths.items()))
     for row in report["rows"]:
         cells = ("-" if v is None else v if isinstance(v, str) else f"{v:.5g}" for v in row.values())
         print(" ".join(f"{cell:>{w}}" for cell, w in zip(cells, widths.values())))
-    if report["throughput_ordering_ok"] is not None:
-        print(f"throughput ordering ok: {report['throughput_ordering_ok']}")
+    print(f"throughput ordering ok: {report['throughput_ordering_ok']}")
     if args.out:
-        text = grid_to_csv(report) if str(args.out).endswith(".csv") else json.dumps(report, indent=2)
+        text = rows_to_csv(report) if str(args.out).endswith(".csv") else json.dumps(report, indent=2)
         Path(args.out).write_text(text, encoding="utf-8")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises, so that `main` reports it as one `error:`
+    line with exit 1, as it does a bad file; argparse would print a usage
+    block and exit 2, the code of a verify failure."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="membank", description=__doc__)
+    p = _Parser(prog="membank", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -145,9 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the acceptance criteria that do not depend on timing")
     sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("bench", help="time a mode x capacity grid")
-    sp.add_argument("--script")
-    sp.add_argument("--grid", help="JSON file with modes and b_values")
+    sp = sub.add_parser("bench", help="time the four modes at one geometry")
+    sp.add_argument("--script", required=True)
     sp.add_argument("--out")
     sp.add_argument("--repeat", type=int, default=3)
     common(sp)
@@ -156,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (MembankError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,5 +1,5 @@
-"""Rollout metrics, report assembly, the one timing loop, and the
-ablation grid."""
+"""Rollout metrics, report assembly, the one timing loop, and the bench
+report built on it."""
 
 from __future__ import annotations
 
@@ -11,11 +11,11 @@ import resource
 import statistics
 import time
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .engine import Mode, RolloutRun, initial_state, rollout, script_inputs, step_chunk
+from .engine import Mode, RolloutRun, initial_state, script_inputs, step_chunk
 from .errors import ConfigError, InapplicableMetricError
 from .script import NarrativeScript
 from .toymodel import ModelConfig
@@ -29,11 +29,10 @@ __all__ = [
     "compute_metrics",
     "ModeTimes",
     "time_modes",
-    "check_grid",
-    "run_ablation_grid",
+    "bench_modes",
     "throughput_ordering",
     "metrics_to_json",
-    "grid_to_csv",
+    "rows_to_csv",
 ]
 
 
@@ -133,20 +132,16 @@ def compute_metrics(run: RolloutRun, full_run: Optional[RolloutRun] = None) -> R
 class ModeTimes:
     """One mode in `time_modes`: the untimed pass's results, and what every timed pass measured."""
 
-    run: RolloutRun  # elapsed_seconds: the first timed pass's step_chunk plus synthesis seconds
+    run: RolloutRun  # elapsed_seconds unset: bench_modes times from step_seconds
     step_seconds: list[float]  # per timed pass
     wall_times: list[dict[str, float]]  # per chunk of every timed pass
     minor_faults: list[int]  # per timed pass
 
 
 def time_modes(
-    script: NarrativeScript,
-    cfg: ModelConfig,
-    modes: Sequence[Mode],
-    noise_eps: float = 0.05,
-    repeats: int = 3,
+    script: NarrativeScript, cfg: ModelConfig, noise_eps: float = 0.05, repeats: int = 3
 ) -> dict[Mode, ModeTimes]:
-    """Time distinct `modes` over one stream of `script_inputs`, built once.
+    """Time every mode over one stream of `script_inputs`, built once.
 
     One untimed pass, which takes the process's slow first chunks, then
     `repeats` timed passes. In each pass every mode steps a fresh state
@@ -159,7 +154,7 @@ def time_modes(
     """
     cfg, weights, inputs = script_inputs(script, cfg, noise_eps)
     inputs = list(inputs)
-    synthesis_seconds = sum(synthesis for *_, synthesis in inputs)
+    modes = list(Mode)
     times = {mode: ModeTimes(RolloutRun(mode, cfg, script, [], 0.0), [], [], []) for mode in modes}
     for timed in range(-1, repeats):  # -1 is the untimed pass
         states = {mode: initial_state(cfg, mode) for mode in modes}
@@ -181,63 +176,38 @@ def time_modes(
             for mode, t in times.items():
                 t.step_seconds.append(seconds[mode])
                 t.minor_faults.append(faults[mode])
-                t.run.elapsed_seconds = t.step_seconds[0] + synthesis_seconds
     return times
 
 
-def check_grid(modes: Sequence[Mode], b_values: Sequence[int]) -> None:
-    """Reject a grid with no mode or capacity, one listed twice, or a capacity below 1."""
-    if not modes or len(set(modes)) < len(modes):
-        raise ConfigError(f"ablation grid needs distinct modes, at least one, got {[m.value for m in modes]}")
-    if not b_values or len(set(b_values)) < len(b_values) or min(b_values) < 1:
-        raise ConfigError(f"ablation grid needs distinct capacities >= 1, at least one, got {list(b_values)}")
-
-
-def run_ablation_grid(
-    script: NarrativeScript,
-    cfg: ModelConfig,
-    modes: Sequence[Mode],
-    b_values: Sequence[int],
-    noise_eps: float = 0.05,
-    repeats: int = 1,
-) -> dict:
-    """One flat row per (mode, bank capacity), from one `time_modes` call
-    per capacity: the untimed pass's `metrics_to_dict` fields, but
-    chunks_per_second is the median over passes of chunks / (step_chunk +
-    synthesis seconds), the work rollout's counts; then the median ms per
-    chunk of each `wall_time` phase and the median minor faults per chunk.
-    `nam_sma`'s L2 gap is against the same pass's `nam_full`, rolled out
-    on its own only when the grid has none."""
-    check_grid(modes, b_values)
+def bench_modes(script: NarrativeScript, cfg: ModelConfig, noise_eps: float = 0.05, repeats: int = 1) -> dict:
+    """One flat row per mode, in `Mode` order, from one `time_modes` call
+    at the config's geometry: the untimed pass's `metrics_to_dict`
+    fields, but chunks_per_second is the median over passes of chunks /
+    (step_chunk + synthesis seconds), the work rollout's counts; then the
+    median ms per chunk of each `wall_time` phase and the median minor
+    faults per chunk. `nam_sma`'s L2 gap is against the same pass's
+    `nam_full`. `throughput_ordering_ok` checks the rows' chunks/s."""
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    times = time_modes(script, cfg, noise_eps, repeats)
     rows = []
-    for b in b_values:
-        cell_cfg = replace(cfg, bank_capacity=b, sma_k=min(cfg.sma_k, b + cfg.frames_per_chunk))
-        times = time_modes(script, cell_cfg, modes, noise_eps, repeats)
-        full_run = times[Mode.NAM_FULL].run if Mode.NAM_FULL in times else None
-        if full_run is None and Mode.NAM_SMA in times:
-            full_run = rollout(script, cell_cfg, Mode.NAM_FULL, noise_eps)
-        for mode, t in times.items():
-            n = len(t.run.results)
-            synthesis = sum(r.wall_time["synthesis"] for r in t.run.results)
-            m = compute_metrics(t.run, full_run if mode is Mode.NAM_SMA else None)
-            m = replace(m, chunks_per_second=statistics.median(n / (s + synthesis) for s in t.step_seconds))
-            row = {"mode": mode.value, "bank_capacity": b, **metrics_to_dict(m)}
-            for name in t.wall_times[0]:
-                row[f"{name}_ms"] = _sig9(statistics.median(1e3 * w[name] for w in t.wall_times))
-            row["minor_faults_per_chunk"] = _sig9(statistics.median(f / n for f in t.minor_faults))
-            rows.append(row)
-    # Each mode's first capacity sets its throughput.
-    cps_by_mode = {Mode(row["mode"]): row["chunks_per_second"] for row in reversed(rows)}
+    for mode, t in times.items():
+        n = len(t.run.results)
+        synthesis = sum(r.wall_time["synthesis"] for r in t.run.results)
+        m = compute_metrics(t.run, times[Mode.NAM_FULL].run if mode is Mode.NAM_SMA else None)
+        m = replace(m, chunks_per_second=statistics.median(n / (s + synthesis) for s in t.step_seconds))
+        row = {"mode": mode.value, "bank_capacity": cfg.bank_capacity, **metrics_to_dict(m)}
+        for name in t.wall_times[0]:
+            row[f"{name}_ms"] = _sig9(statistics.median(1e3 * w[name] for w in t.wall_times))
+        row["minor_faults_per_chunk"] = _sig9(statistics.median(f / n for f in t.minor_faults))
+        rows.append(row)
+    cps_by_mode = {Mode(row["mode"]): row["chunks_per_second"] for row in rows}
     return {"rows": rows, "throughput_ordering_ok": throughput_ordering(cps_by_mode)}
 
 
-def throughput_ordering(cps_by_mode: dict[Mode, float]) -> Optional[bool]:
-    """Check the qualitative speed order: no memory fastest, full bank
-    slowest, gated in between; None when modes are missing."""
-    if not set(Mode) <= set(cps_by_mode):
-        return None
+def throughput_ordering(cps_by_mode: dict[Mode, float]) -> bool:
+    """Check the qualitative speed order of all four modes: no memory
+    fastest, full bank slowest, gated in between."""
     return (
         cps_by_mode[Mode.NO_MEMORY] > cps_by_mode[Mode.NAM_SMA] > cps_by_mode[Mode.NAM_FULL]
         and cps_by_mode[Mode.FRAME_SINK] > cps_by_mode[Mode.NAM_SMA]
@@ -266,7 +236,7 @@ def metrics_to_json(m: RolloutMetrics, extra: Optional[dict] = None) -> str:
     return json.dumps(doc, indent=2)
 
 
-def grid_to_csv(report: dict) -> str:
+def rows_to_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(report["rows"][0]))
     writer.writeheader()

@@ -2,7 +2,7 @@
 
 File format is JSON: {"seed": int, "segments": [{"prompt_text": str,
 "topic": int, "chunks": int}, ...]}. A field outside this schema is an
-error, as in config and grid files.
+error, as in config files.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ def test_criterion_7_throughput_ordering():
     # Synthesis and prompt encoding are shared, so leaving them out does not
     # change the order: each mode's throughput is its median over 5 timed
     # passes of step_chunk time alone.
-    timed = time_modes(C7_SCRIPT, C7_CFG, list(Mode), repeats=5)
+    timed = time_modes(C7_SCRIPT, C7_CFG, repeats=5)
     same = all(determinism_hash(t.run) == determinism_hash(rollout(C7_SCRIPT, C7_CFG, m)) for m, t in timed.items())
     medians = {m: float(np.median([len(t.run.results) / s for s in t.step_seconds])) for m, t in timed.items()}
     ok = throughput_ordering(medians)

@@ -66,29 +66,24 @@ def test_seed_flag_overrides_script_seed(script_path, tmp_path):
 
 
 def test_ablate_csv(script_path, tmp_path, capsys):
-    out = tmp_path / "grid.csv"
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"modes": ["no_memory", "nam_full"], "b_values": [3, 4]}))
-    rc = main(["bench", "--script", script_path, "--grid", str(grid), "--out", str(out)])
+    out = tmp_path / "bench.csv"
+    rc = main(["bench", "--script", script_path, "--repeat", "1", "--out", str(out)])
     assert rc == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
-    assert len(rows) == 4
-    assert {r["mode"] for r in rows} == {"no_memory", "nam_full"}
+    assert [(r["mode"], r["bank_capacity"]) for r in rows] == [(m.value, "3") for m in Mode]
 
 
 def test_ablate_json_rows_match_csv(script_path, tmp_path, capsys):
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"modes": ["no_memory", "nam_sma"], "b_values": [3, 4]}))
-    out_json, out_csv = tmp_path / "g.json", tmp_path / "g.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bank_capacity": 4}))
+    out_json, out_csv = tmp_path / "b.json", tmp_path / "b.csv"
     for out in (out_json, out_csv):
-        assert main(["bench", "--script", script_path, "--grid", str(grid), "--out", str(out)]) == 0
+        assert main(["bench", "--script", script_path, "--config", str(cfg), "--repeat", "1", "--out", str(out)]) == 0
     doc = json.loads(out_json.read_text())
     header = out_csv.read_text().splitlines()[0].split(",")
     assert list(doc) == ["rows", "throughput_ordering_ok"]
-    assert doc["throughput_ordering_ok"] is None
-    assert [(r["mode"], r["bank_capacity"]) for r in doc["rows"]] == [
-        ("no_memory", 3), ("nam_sma", 3), ("no_memory", 4), ("nam_sma", 4)
-    ]
+    assert isinstance(doc["throughput_ordering_ok"], bool)
+    assert [(r["mode"], r["bank_capacity"]) for r in doc["rows"]] == [(m.value, 4) for m in Mode]
     assert all(list(r) == header for r in doc["rows"])
 
 
@@ -136,10 +131,10 @@ def test_verify_failure_exits_2_and_runs_every_check(capsys, monkeypatch):
     ]
 
 
-def test_bench_runs(capsys, tmp_path):
+def test_bench_runs(script_path, capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tokens_per_frame": 4, "head_dim": 4}))
-    rc = main(["bench", "--repeat", "1", "--config", str(cfg)])
+    rc = main(["bench", "--script", script_path, "--repeat", "1", "--config", str(cfg)])
     assert rc == 0
     header, *rows, ordering = capsys.readouterr().out.splitlines()
     assert header.split() == [
@@ -206,42 +201,41 @@ def assert_one_error_line(rc, capsys, *words):
 
 
 @pytest.mark.parametrize(
-    "grid, word",
+    "argv, words",
     [
-        ([["nam_full"], [3]], "object"),
-        ({"b_values": "3"}, "b_values"),
-        ({"b_values": [2.5]}, "b_values"),
-        ({"modes": ["bogus"]}, "bogus"),
-        ({"modes": [["nam_full"]]}, "modes"),
-        ({"mode": ["nam_full"]}, "mode"),
-        ({"modes": []}, "distinct modes, at least one, got []"),
-        ({"modes": ["nam_sma", "nam_sma"]}, "distinct modes, at least one, got ['nam_sma', 'nam_sma']"),
-        ({"b_values": []}, "distinct capacities >= 1, at least one, got []"),
-        ({"b_values": [3, 3]}, "distinct capacities >= 1, at least one, got [3, 3]"),
-        ({"b_values": [0]}, "distinct capacities >= 1, at least one, got [0]"),
+        (["run", "--script", "s.json", "--bogus"], ["membank: unrecognized arguments: --bogus"]),
+        (["bench", "--script", "s.json", "--grid", "g.json"], ["unrecognized arguments: --grid g.json"]),
+        (["run"], ["membank run:", "required: --script"]),
+        (["bench"], ["membank bench:", "required: --script"]),
+        (["bench", "--script", "s.json", "--repeat", "x"], ["--repeat", "invalid int value: 'x'"]),
+        (["run", "--script", "s.json", "--mode", "bogus"], ["--mode", "invalid choice: 'bogus'"]),
+        ([], ["required: command"]),
     ],
-    ids=[
-        "list", "b_values_string", "b_values_float", "unknown_mode", "unhashable_mode", "unknown_field",
-        "no_modes", "repeated_mode", "no_b_values", "repeated_b", "b_below_one",
-    ],
+    ids=["unknown_option", "grid_option", "run_without_script", "bench_without_script", "bad_int", "bad_choice",
+         "no_command"],
 )
-def test_ablate_bad_grid_rejected(script_path, tmp_path, capsys, grid, word):
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(grid))
-    rc = main(["bench", "--script", script_path, "--grid", str(path)])
-    assert_one_error_line(rc, capsys, f"{path}: ", word)
+def test_usage_error_is_one_line(capsys, argv, words):
+    # A usage error is a validation failure (exit 1), not a verify failure (exit 2).
+    assert_one_error_line(main(argv), capsys, *words)
 
 
-@pytest.mark.parametrize("command, flag", [("run", "--config"), ("bench", "--grid")])
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--help"])
+    assert exc.value.code == 0
+    assert "--script SCRIPT" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
 @pytest.mark.parametrize(
     "content, words",
     [(b"\xff\xfe", ["not UTF-8"]), (b'{"layers": 2,\n', ["invalid JSON", "line 2"])],
     ids=["not_utf8", "bad_json"],
 )
-def test_unreadable_config_or_grid_file_rejected(script_path, tmp_path, capsys, command, flag, content, words):
+def test_unreadable_config_file_rejected(script_path, tmp_path, capsys, command, content, words):
     path = tmp_path / "file.json"
     path.write_bytes(content)
-    rc = main([command, "--script", script_path, flag, str(path)])
+    rc = main([command, "--script", script_path, "--config", str(path)])
     assert_one_error_line(rc, capsys, str(path), *words)
 
 

@@ -7,12 +7,12 @@ from membank import metrics
 from membank.engine import Mode, rollout, step_chunk
 from membank.errors import ConfigError, InapplicableMetricError, ScriptError
 from membank.metrics import (
+    bench_modes,
     compute_metrics,
     determinism_hash,
-    grid_to_csv,
     metrics_to_json,
     retrieval_precision,
-    run_ablation_grid,
+    rows_to_csv,
     sma_vs_full_l2,
     throughput_ordering,
     time_modes,
@@ -139,25 +139,24 @@ class TestMetrics:
 
 class TestAblationGrid:
     def test_rows_hash_as_rollouts(self):
-        report = run_ablation_grid(revisiting_script(11), CFG, list(Mode), [2, 4])
-        assert [(r["mode"], r["bank_capacity"]) for r in report["rows"]] == [(m.value, b) for b in (2, 4) for m in Mode]
-        cps = {Mode(r["mode"]): r["chunks_per_second"] for r in report["rows"][:4]}
-        assert report["throughput_ordering_ok"] is throughput_ordering(cps)
-        for b in (2, 4):
-            runs = {m: rollout(revisiting_script(11), replace(CFG, bank_capacity=b), m) for m in Mode}
-            rows = {Mode(r["mode"]): r for r in report["rows"] if r["bank_capacity"] == b}
-            assert all(rows[m]["determinism_hash"] == determinism_hash(runs[m]) for m in Mode)
-            gap = rows[Mode.NAM_SMA]["sma_vs_full_l2"]
-            assert gap > 0 and gap == pytest.approx(sma_vs_full_l2(runs[Mode.NAM_SMA], runs[Mode.NAM_FULL]), rel=1e-8)
+        cfg = replace(CFG, bank_capacity=2)
+        report = bench_modes(revisiting_script(11), cfg)
+        assert [(r["mode"], r["bank_capacity"]) for r in report["rows"]] == [(m.value, 2) for m in Mode]
+        rows = {Mode(r["mode"]): r for r in report["rows"]}
+        assert report["throughput_ordering_ok"] is throughput_ordering({m: r["chunks_per_second"] for m, r in rows.items()})
+        runs = {m: rollout(revisiting_script(11), cfg, m) for m in Mode}
+        assert all(rows[m]["determinism_hash"] == determinism_hash(runs[m]) for m in Mode)
+        gap = rows[Mode.NAM_SMA]["sma_vs_full_l2"]
+        assert gap > 0 and gap == pytest.approx(sma_vs_full_l2(runs[Mode.NAM_SMA], runs[Mode.NAM_FULL]), rel=1e-8)
 
     def test_modes_take_turns(self, monkeypatch):
         order = []
         monkeypatch.setattr(metrics, "step_chunk", lambda state, *a: order.append(state.mode) or step_chunk(state, *a))
-        time_modes(single_topic_script(5), CFG, list(Mode), repeats=2)  # one untimed pass, then 2 timed
+        time_modes(single_topic_script(5), CFG, repeats=2)  # one untimed pass, then 2 timed
         assert order == 3 * [m for i in range(5) for m in list(Mode)[i % 4 :] + list(Mode)[: i % 4]]
 
     def test_results_kept_from_the_untimed_pass(self):
-        times = time_modes(single_topic_script(5), CFG, list(Mode), repeats=2)
+        times = time_modes(single_topic_script(5), CFG, repeats=2)
         for t in times.values():
             assert len(t.run.results) == 5 and len(t.wall_times) == 2 * 5
             timed = {id(w) for w in t.wall_times}
@@ -169,39 +168,40 @@ class TestAblationGrid:
         assert throughput_ordering({**cps, Mode.FRAME_SINK: 2.0}) is False  # the sink must beat SMA
         assert throughput_ordering({**cps, Mode.NAM_FULL: 2.0}) is False
         assert throughput_ordering({**cps, Mode.NO_MEMORY: 2.0}) is False
-        assert throughput_ordering({m: c for m, c in cps.items() if m is not Mode.FRAME_SINK}) is None
 
     def test_capacity_sweep_rows(self):
-        report = run_ablation_grid(revisiting_script(11), CFG, [Mode.NAM_FULL], [3, 6, 9])
-        assert [r["bank_capacity"] for r in report["rows"]] == [3, 6, 9]
-        assert report["throughput_ordering_ok"] is None
-
-    def test_empty_modes_error(self):
-        with pytest.raises(ConfigError):
-            run_ablation_grid(revisiting_script(11), CFG, [], [3])
+        # A capacity sweep is one run per config. Each run's rows carry its
+        # capacity, and only the bank modes' outputs depend on it.
+        hashes = {}
+        for b in (3, 6, 9):
+            report = bench_modes(revisiting_script(11), replace(CFG, bank_capacity=b))
+            assert [r["bank_capacity"] for r in report["rows"]] == [b] * len(Mode)
+            assert isinstance(report["throughput_ordering_ok"], bool)
+            for r in report["rows"]:
+                hashes.setdefault(Mode(r["mode"]), set()).add(r["determinism_hash"])
+        assert {m: len(h) for m, h in hashes.items()} == {m: 3 if m.uses_bank else 1 for m in Mode}
 
     @pytest.mark.parametrize("repeats", [0, -2])
     def test_repeats_below_one_error(self, repeats):
         with pytest.raises(ConfigError, match=f"repeats must be >= 1, got {repeats}"):
-            run_ablation_grid(revisiting_script(11), CFG, [Mode.NAM_SMA], [3], repeats=repeats)
+            bench_modes(revisiting_script(11), CFG, repeats=repeats)
 
     def test_csv_shape(self):
-        report = run_ablation_grid(single_topic_script(2), CFG, [Mode.NO_MEMORY], [3])
-        lines = grid_to_csv(report).strip().splitlines()
+        report = bench_modes(single_topic_script(2), CFG)
+        lines = rows_to_csv(report).strip().splitlines()
         assert lines[0] == ",".join(report["rows"][0]) == (
             "mode,bank_capacity,retrieval_precision,sma_vs_full_l2,"
             "mean_attended_keys,chunks_per_second,determinism_hash,retrieval_update_ms,"
             "projection_ms,selection_ms,attention_ms,synthesis_ms,minor_faults_per_chunk"
         )
-        assert len(lines) == 2
+        assert len(lines) == 1 + len(Mode)
 
     def test_rows_deterministic_modulo_time(self):
-        a = run_ablation_grid(revisiting_script(11), CFG, [Mode.NAM_SMA], [3])
-        b = run_ablation_grid(revisiting_script(11), CFG, [Mode.NAM_SMA], [3])
-        ra, rb = a["rows"][0], b["rows"][0]
-        assert ra.pop("minor_faults_per_chunk") >= 0 and rb.pop("minor_faults_per_chunk") >= 0
-        for timed in [k for k in ra if k.endswith("_ms")] + ["chunks_per_second"]:
-            assert ra.pop(timed) > 0 and rb.pop(timed) > 0
-        # With no nam_full in the grid, nam_sma's gap comes from a rollout of its own.
-        assert ra["sma_vs_full_l2"] > 0
-        assert ra == rb
+        a = bench_modes(revisiting_script(11), CFG)
+        b = bench_modes(revisiting_script(11), CFG)
+        for ra, rb in zip(a["rows"], b["rows"]):
+            assert ra.pop("minor_faults_per_chunk") >= 0 and rb.pop("minor_faults_per_chunk") >= 0
+            for timed in [k for k in ra if k.endswith("_ms")] + ["chunks_per_second"]:
+                assert ra.pop(timed) > 0 and rb.pop(timed) > 0
+            assert ra == rb
+        assert [r["sma_vs_full_l2"] > 0 for r in a["rows"]] == [m is Mode.NAM_SMA for m in Mode]
