@@ -41,6 +41,7 @@ class RolloutMetrics:
     retrieval_precision: Optional[float]  # None when no update was eligible
     sma_vs_full_l2: float
     mean_attended_keys: float
+    mean_computed_keys: float
     chunks_per_second: float
     determinism_hash: str
 
@@ -118,11 +119,13 @@ def compute_metrics(run: RolloutRun, full_run: Optional[RolloutRun] = None) -> R
     precision = retrieval_precision(run) if run.mode.uses_bank else None
     l2 = sma_vs_full_l2(run, full_run) if (run.mode is Mode.NAM_SMA and full_run) else 0.0
     mean_keys = float(np.mean([r.attended_key_count for r in run.results]))
+    computed_keys = float(np.mean([r.computed_key_count for r in run.results]))
     cps = len(run.results) / run.elapsed_seconds if run.elapsed_seconds > 0 else 0.0
     return RolloutMetrics(
         retrieval_precision=precision,
         sma_vs_full_l2=l2,
         mean_attended_keys=mean_keys,
+        mean_computed_keys=computed_keys,
         chunks_per_second=cps,
         determinism_hash=determinism_hash(run),
     )
@@ -225,6 +228,7 @@ def metrics_to_dict(m: RolloutMetrics) -> dict:
         "retrieval_precision": _sig9(m.retrieval_precision),
         "sma_vs_full_l2": _sig9(m.sma_vs_full_l2),
         "mean_attended_keys": _sig9(m.mean_attended_keys),
+        "mean_computed_keys": _sig9(m.mean_computed_keys),
         "chunks_per_second": _sig9(m.chunks_per_second),
         "determinism_hash": m.determinism_hash,
     }

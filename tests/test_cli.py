@@ -138,16 +138,16 @@ def test_bench_runs(script_path, capsys, tmp_path):
     assert rc == 0
     header, *rows, ordering = capsys.readouterr().out.splitlines()
     assert header.split() == [
-        "mode", "bank_capacity", "retrieval_precision", "sma_vs_full_l2", "mean_attended_keys", "chunks_per_second",
-        "determinism_hash", "retrieval_update_ms", "projection_ms", "selection_ms", "attention_ms", "synthesis_ms",
-        "minor_faults_per_chunk",
+        "mode", "bank_capacity", "retrieval_precision", "sma_vs_full_l2", "mean_attended_keys", "mean_computed_keys",
+        "chunks_per_second", "determinism_hash", "retrieval_update_ms", "projection_ms", "selection_ms", "attention_ms",
+        "synthesis_ms", "minor_faults_per_chunk",
     ]
     assert [row.split()[:2] for row in rows] == [[m.value, "3"] for m in Mode]
     assert ordering.startswith("throughput ordering ok: ")
     for row in rows:
-        keys, cps = map(float, row.split()[4:6])
-        retrieval, projection, selection, attention, synthesis, faults = map(float, row.split()[7:])
-        assert keys > 0 and cps > 0 and synthesis > 0 and projection > 0 and attention > 0
+        keys, computed, cps = map(float, row.split()[4:7])
+        retrieval, projection, selection, attention, synthesis, faults = map(float, row.split()[8:])
+        assert keys >= computed > 0 and cps > 0 and synthesis > 0 and projection > 0 and attention > 0
         assert retrieval >= 0 and selection >= 0 and faults >= 0
 
 

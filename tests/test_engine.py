@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from membank.activation import select_top_k
-from membank.engine import LOGIT_BLOCK_BYTES, AttentionPlan, Mode, attend, initial_state, rollout, step_chunk
+from membank.engine import (
+    LOGIT_BLOCK_BYTES, AttentionPlan, Mode, attend, initial_state, rollout, script_inputs, step_chunk,
+)
 from membank.errors import ScriptError, ShapeError
 from membank.frames import FrameKV
 from membank.metrics import chunk_digest, determinism_hash
@@ -26,7 +29,7 @@ from membank.toymodel import (
     project_queries,
     synth_chunk,
 )
-from membank.verify import sma_full_pool_identity
+from membank.verify import expected_key_count, sma_full_pool_identity
 
 from loop_oracles import full_memory_attention_oracle, sdp_attention_loop, sma_scores_loop
 
@@ -273,12 +276,14 @@ class TestAttentionPlan:
 
     def test_wide_geometry_slices_only_long_rows(self):
         # At P=64 a product over all 4 pairs fits R = 256 keys, so every
-        # row past the first chunk's is cut.
+        # row past the first chunk's is cut. Folded repeats shorten the
+        # rows: at chunk 1 every mode with memory attends only the chunk
+        # and the window, and `nam_full` drops 3 to 5 frames per chunk.
         slices = {
             Mode.NO_MEMORY: [1, 2] + [3] * 10,
-            Mode.FRAME_SINK: [1] + [3] * 11,
-            Mode.NAM_FULL: [1, 3] + [4] * 3 + [5] * 4 + [6] * 3,
-            Mode.NAM_SMA: [1] + [3] * 11,
+            Mode.FRAME_SINK: [1, 2] + [3] * 10,
+            Mode.NAM_FULL: [1, 2] + [3] * 2 + [4] * 4 + [5] * 4,
+            Mode.NAM_SMA: [1, 2] + [3] * 10,
         }
         for mode in Mode:
             plans = [res.attention_plan for res in rollout(SAMPLE_SCRIPT, WIDE_CFG, mode).results]
@@ -288,10 +293,10 @@ class TestAttentionPlan:
 @pytest.mark.parametrize(
     "cfg, hashes",
     [
-        (ModelConfig(), ["0196211fbf8f5f71", "9c2a5890df8fc34e", "d2020a30c8798213", "68fb580b73090de7"]),
+        (ModelConfig(), ["0196211fbf8f5f71", "07be4f6d72229ad1", "f079f9014abbea8b", "2cfa9739abe8626e"]),
         (
             ModelConfig(tokens_per_frame=64, bank_capacity=12, sma_k=3),
-            ["ac9e56cca433aaa6", "2ccc01af2ee3dffc", "c94d471b3c7861be", "53230f3d0aa039bc"],
+            ["ac9e56cca433aaa6", "cfec98199ac19433", "83c8cf19ee8ac275", "65f13cfa9200f887"],
         ),
     ],
     ids=["default", "wide"],
@@ -304,6 +309,101 @@ def test_sample_script_hashes_are_pinned(cfg, hashes):
     BLAS build may round its products differently and move them.
     """
     assert [determinism_hash(rollout(SAMPLE_SCRIPT, cfg, mode)) for mode in Mode] == hashes
+
+
+def step_script(script, cfg, mode):
+    """Step `script` from a fresh state; yield (cfg, weights, pre_state,
+    chunk, state, result) per chunk."""
+    cfg, w, inputs = script_inputs(script, cfg)
+    state = initial_state(cfg, mode)
+    for prompt, chunk, _ in inputs:
+        pre_state = state
+        state, res = step_chunk(state, prompt, chunk, cfg, w)
+        yield cfg, w, pre_state, chunk, state, res
+
+
+def attended_frames(pre_state, state, res):
+    """Each layer's memory frames, as objects, before any fold: the pool
+    of the chunk (the sink, and the updated bank in the bank modes) as
+    each layer's activation set selects it."""
+    if state.mode is Mode.NO_MEMORY:
+        pool = ()
+    elif state.mode is Mode.FRAME_SINK:
+        pool = pre_state.sink.frames
+    else:
+        pool = pre_state.sink.frames + state.bank.frames
+    return [pool if act is None else tuple(pool[i] for i in act.indices) for act in res.activation_sets]
+
+
+def unfolded_attention(cfg, w, pre_state, chunk, selected):
+    """`attend` on the whole multiset: every layer's selected memory ++
+    window ++ chunk, with each repeated frame assembled once per copy."""
+    L, H, T, P, d = cfg.layers, cfg.heads, cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.head_dim
+    recent = pre_state.local_window + tuple(project_kv(chunk, cfg, w))
+    n = (len(selected[0]) + len(recent)) * P
+    k = np.empty((L, H, d, n))
+    v = np.ones((L, H, n, d + 1))
+    for l, chosen in enumerate(selected):
+        context = chosen + recent
+        k[l] = np.concatenate([f.k[l] for f in context], axis=1).swapaxes(1, 2)
+        v[l, :, :, :d] = np.concatenate([f.v[l] for f in context], axis=1)
+    q = (project_queries(chunk, cfg, w) / math.sqrt(d)).reshape(T, L * H, P, d)
+    bound = max(f.key_bound for chosen in (recent, *selected) for f in chosen)
+    out, keys, _ = attend(q, k.reshape(L * H, d, n), v.reshape(L * H, n, d + 1), bound)
+    return [out[:, l * H : (l + 1) * H] for l in range(L)], keys
+
+
+def repeats_every_layer_attends(window, selected):
+    """The copies every layer could drop: for each frame object, its
+    fewest copies in any layer's window ++ memory, less the one kept."""
+    counts = [Counter(map(id, window + chosen)) for chosen in selected]
+    return sum(max(0, min(c[x] for c in counts) - 1) for x in counts[0])
+
+
+# 30 chunks whose topics return, so frames leave and re-enter the bank.
+FOLD_SCRIPT = make_script(seed=17, pattern=(0, 1, 2, 0, 1, 0, 2, 2, 1, 0), chunks=3)
+
+
+class TestFold:
+    """A frame that every layer attends more than once is attended once,
+    its V rows scaled by its count. The outputs are those of the whole
+    multiset, and the record still counts every copy."""
+
+    @pytest.mark.parametrize("cfg", [ModelConfig(), WIDE_CFG], ids=["default", "wide"])
+    @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
+    def test_fold_keeps_the_multiset(self, mode, cfg):
+        G, T, P = cfg.layers * cfg.heads, cfg.frames_per_chunk, cfg.tokens_per_frame
+        folded = 0
+        for c, (cfg, w, pre_state, chunk, state, res) in enumerate(step_script(FOLD_SCRIPT, cfg, mode)):
+            selected = attended_frames(pre_state, state, res)
+            assert res.selected_frame_ids == [[f.frame_id for f in chosen] for chosen in selected]
+            want, keys = unfolded_attention(cfg, w, pre_state, chunk, selected)
+            for got, ref in zip(res.attention_outputs, want):
+                assert np.max(np.abs(got - ref)) <= 1e-12
+            assert res.folded_frames == repeats_every_layer_attends(pre_state.local_window, selected)
+            window = min(c * T, cfg.local_window)
+            assert res.attended_key_count == keys == expected_key_count(cfg, len(selected[0]), window)
+            assert res.computed_key_count == keys - G * T * P * P * res.folded_frames
+            folded += res.folded_frames
+        assert c + 1 == 30
+        assert (folded > 0) == (mode is not Mode.NO_MEMORY)
+
+    def test_copies_are_objects_not_ids(self):
+        # A bank frame with a window frame's id but its own keys is not a
+        # copy: it keeps its own columns and weight.
+        w, steps = record_steps(Mode.NAM_FULL, CFG, topics=(0, 0, 1))
+        pre_state, chunk, _, _ = steps[-1]
+        twins = tuple(FrameKV(f.frame_id, 2.0 * f.k, f.v) for f in pre_state.bank.frames)
+        pre_state = replace(pre_state, bank=replace(pre_state.bank, frames=twins))
+        assert {f.frame_id for f in twins} & {f.frame_id for f in pre_state.local_window}
+        prompt = encode_prompt("prompt about topic 1", 1, CFG, make_topic_space(2, CFG, 0.05), w)
+        state, res = step_chunk(pre_state, prompt, chunk, CFG, w)
+        selected = attended_frames(pre_state, state, res)
+        by_id = [Counter(f.frame_id for f in pre_state.local_window + chosen) for chosen in selected]
+        id_repeats = sum(max(0, min(c[i] for c in by_id) - 1) for i in by_id[0])
+        assert res.folded_frames == repeats_every_layer_attends(pre_state.local_window, selected) < id_repeats
+        want, _ = unfolded_attention(CFG, w, pre_state, chunk, selected)
+        assert all(np.max(np.abs(got - ref)) <= 1e-12 for got, ref in zip(res.attention_outputs, want))
 
 
 def digests(steps):
@@ -391,8 +491,13 @@ class TestRandomConfigs:
         for mode in Mode:
             w, steps = record_steps(mode, cfg, self.RANDOM_TOPICS)
             assert_matches_oracle(mode, cfg, w, steps)
-            for _, _, state, _ in steps:
+            for pre_state, chunk, state, res in steps:
                 assert len(state.bank) <= cfg.bank_capacity
+                selected = attended_frames(pre_state, state, res)
+                assert res.folded_frames == repeats_every_layer_attends(pre_state.local_window, selected)
+                want, keys = unfolded_attention(cfg, w, pre_state, chunk, selected)
+                assert res.attended_key_count == keys
+                assert all(np.max(np.abs(got - ref)) <= 1e-12 for got, ref in zip(res.attention_outputs, want))
                 assert [f.frame_id for f in state.sink.frames] == list(range(T))
             # One saved state stepped twice gives the recorded chunk both times.
             pre_state, chunk, _, res = steps[2]

@@ -191,7 +191,7 @@ class TestAblationGrid:
         lines = rows_to_csv(report).strip().splitlines()
         assert lines[0] == ",".join(report["rows"][0]) == (
             "mode,bank_capacity,retrieval_precision,sma_vs_full_l2,"
-            "mean_attended_keys,chunks_per_second,determinism_hash,retrieval_update_ms,"
+            "mean_attended_keys,mean_computed_keys,chunks_per_second,determinism_hash,retrieval_update_ms,"
             "projection_ms,selection_ms,attention_ms,synthesis_ms,minor_faults_per_chunk"
         )
         assert len(lines) == 1 + len(Mode)
