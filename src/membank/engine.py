@@ -122,8 +122,7 @@ class ChunkResult:
     attention_outputs: list[np.ndarray]  # per layer, [T, H, P, d]
     activation_sets: list[Optional[ActivationSet]]  # per layer
     attended_key_count: int  # (query, key) pairs of the multiset, repeated frames counted per copy
-    computed_key_count: int  # the pairs `attend` computed, after the fold
-    folded_frames: int  # repeated frames each layer's memory dropped (see `_fold_repeats`)
+    folded_frames: int  # copies each layer's memory dropped; `attend` computed G*T*P*P fewer pairs per copy
     attention_plan: AttentionPlan
     wall_time: dict[str, float]  # seconds per step_chunk phase; rollout adds "synthesis"
     retained_bank_ids: list[int]
@@ -226,8 +225,9 @@ def attend(
     return num[..., :d] / num[..., d:], attended, AttentionPlan(s, shift)
 
 
-def _fold_repeats(window, selected, shared: bool):
-    """Fold the frames that every layer attends more than once.
+def _fold_repeats(window, memory):
+    """Fold the repeated frames of a chunk whose layers all attend the
+    whole pool, `memory`.
 
     A layer attends a frame twice when its memory holds a frame of the
     local window (the window keeps the latest bank prototypes and, in
@@ -236,62 +236,26 @@ def _fold_repeats(window, selected, shared: bool):
     object: ids alone may collide. The chunk's own frames are never
     copies, since `project_kv` builds them in this step. A softmax over
     a multiset equals the softmax over its distinct keys with each
-    key's weight multiplied by its count. So when every layer holds a
-    frame c + 1 times, each layer drops c of its memory copies, and the
-    copy that stays, the window's or else the first in memory, has its
-    V rows, ones column included, scaled by c + 1. Every layer drops the
-    same number of frames, so their memory columns stay equal in width.
+    key's weight multiplied by its count. So every memory copy of a
+    repeated frame is dropped but one, the window's or else the first in
+    memory, whose V rows, ones column included, are scaled by the count.
 
-    `shared` says that every layer attends the same frames, so one pass
-    serves them all. Returns None when no frame repeats in every layer.
-    Otherwise returns each layer's kept memory frames, the number of
-    frames each dropped, and the scales as (layer index, or a slice over
-    all layers, position in the context in frames, count).
+    Returns the memory frames kept, the number of copies dropped, and
+    the scales as (position in the context in frames, count). When no
+    frame repeats, that is `memory` itself after one set of ids.
     """
-    layers = selected[:1] if shared else selected
-    window_ids = list(map(id, window))
-    folded = set(window_ids)
-    for chosen in layers:
-        ids = set(map(id, chosen))
-        if len(ids) < len(chosen):
-            return _fold_walks(window, selected, shared)
-        folded &= ids
-        if not folded:
-            return None
-    # No memory holds a frame twice: every repeat is a window frame, held
-    # once by the window and once by each layer's memory.
-    memory = [tuple(f for f in chosen if id(f) not in folded) for chosen in layers]
-    n_mem = len(memory[0])
-    scales = [(slice(None), n_mem + window_ids.index(x), 2.0) for x in folded]
-    return memory * len(selected) if shared else memory, len(folded), scales
-
-
-def _fold_walks(window, selected, shared: bool):
-    """`_fold_repeats` when some layer's memory holds a frame twice: count
-    each frame's copies per layer, then walk each layer's memory, keeping
-    a frame's first copy and dropping as many later ones as every layer
-    can. A layer that holds a frame more often keeps the extra copies."""
-    layers = selected[:1] if shared else selected
-    counts = [Counter(map(id, window + chosen)) for chosen in layers]
-    folded = {x: n - 1 for x in counts[0] if (n := min(c[x] for c in counts)) > 1}
-    if not folded:
-        return None
-    window_at = {id(f): i - len(window) for i, f in enumerate(window)}  # counted back from its end
-    window_end = len(selected[0]) - sum(folded.values()) + len(window)
-    scales = [(slice(None), window_end + window_at[x], n + 1.0) for x, n in folded.items() if x in window_at]
-    memory = []
-    for l, chosen in enumerate(layers):
-        at, left, kept = dict(window_at), dict(folded), []
-        for f in chosen:
-            x = id(f)
-            if x in at and left.get(x):
-                left[x] -= 1
-            else:
-                at.setdefault(x, len(kept))
-                kept.append(f)
-        scales += [(slice(None) if shared else l, at[x], n + 1.0) for x, n in folded.items() if at[x] >= 0]
-        memory.append(tuple(kept))
-    return memory * len(selected) if shared else memory, sum(folded.values()), scales
+    window_at = {id(f): i for i, f in enumerate(window)}
+    ids = set(map(id, memory))
+    if len(ids) == len(memory) and ids.isdisjoint(window_at):
+        return memory, 0, ()
+    counts = Counter(map(id, memory))
+    kept = {}  # each memory frame the window does not hold, first copy only
+    for f in memory:
+        if id(f) not in window_at:
+            kept.setdefault(id(f), f)
+    scales = [(j, counts[x]) for j, x in enumerate(kept) if counts[x] > 1]
+    scales += [(len(kept) + window_at[x], n + 1) for x, n in counts.items() if x in window_at]
+    return tuple(kept.values()), len(memory) - len(kept), scales
 
 
 def step_chunk(
@@ -341,30 +305,34 @@ def step_chunk(
     # Every layer's context is assembled once per chunk, selected memory
     # ++ window ++ the new chunk, into this thread's workspace (`_scratch`)
     # as the (layer, head) pairs `attend` reads: K keys-last, V with a
-    # column of ones. When every layer attends the whole pool, the context
-    # is copied for all layers in one concatenate per buffer. Under SMA only
-    # the window and the chunk are; the memory frames, which SMA selects
-    # per layer, are copied layer by layer. Freed after each chunk, buffers
-    # this size (about 0.8 MB each at P=64) let glibc trim the heap, and
-    # the next chunk faults the same pages in again: 200-430 minor faults
-    # per P=64, b=12 `nam_full` chunk, against 0-1 with the kept buffers.
-    # A frame that every layer attends more than once is assembled once,
-    # its V rows scaled by its count (`_fold_repeats`); `no_memory` has no
-    # memory to fold, and a chunk without repeats skips the bookkeeping.
+    # column of ones. When every layer attends the whole pool (no SMA, or
+    # an SMA k that covers the pool), the context is copied for all layers
+    # in one concatenate per buffer. Otherwise only the window and the
+    # chunk are; the memory frames, which SMA selects per layer, are
+    # copied layer by layer. Freed after each chunk, buffers this size
+    # (about 0.8 MB each at P=64) let glibc trim the heap, and the next
+    # chunk faults the same pages in again: 200-430 minor faults per P=64,
+    # b=12 `nam_full` chunk, against 0-1 with the kept buffers.
+    # With the whole pool, a frame attended more than once is assembled
+    # once, its V rows scaled by its count (`_fold_repeats`). SMA's own
+    # selections are not folded: at P=16 the bookkeeping costs more than
+    # the keys it saves.
     t0 = time.perf_counter()
     L, H, T, P, d = cfg.layers, cfg.heads, cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.head_dim
     G = L * H
     q_scaled = (queries * (1.0 / math.sqrt(d))).reshape(T, G, P, d)
     recent = state.local_window + tuple(frames)
-    shared = activation_sets[0] is None  # every layer attends the whole pool
-    fold = _fold_repeats(state.local_window, selected, shared) if selected[0] else None
-    memory, n_folded, scales = (selected, 0, ()) if fold is None else fold
+    whole_pool = all(len(chosen) == len(pool) for chosen in selected)
+    memory, n_folded, scales = selected, 0, ()
+    if whole_pool and pool:
+        kept, n_folded, scales = _fold_repeats(state.local_window, pool)
+        memory = [kept] * L
     # Every layer attends the same number of memory frames.
     n_mem = len(memory[0]) * P
     n_keys = n_mem + len(recent) * P
     k = _scratch("k", (L, H, d, n_keys))
     v = _scratch("v", (L, H, n_keys, d + 1))
-    if shared:
+    if whole_pool:
         context = memory[0] + recent
         np.concatenate([f.k.swapaxes(2, 3) for f in context], axis=3, out=k)
         np.concatenate([f.v for f in context], axis=2, out=v[..., :d])
@@ -376,8 +344,8 @@ def step_chunk(
                 np.concatenate([f.k[l].swapaxes(1, 2) for f in chosen], axis=2, out=k[l, :, :, :n_mem])
                 np.concatenate([f.v[l] for f in chosen], axis=1, out=v[l, :, :n_mem, :d])
     v[..., d] = 1.0
-    for at, j, count in scales:
-        v[at, :, j * P : (j + 1) * P] *= count
+    for j, count in scales:
+        v[:, :, j * P : (j + 1) * P] *= count
     # Each frame's bound was computed once when it was built.
     key_bound = max(f.key_bound for chosen in (recent, *memory) for f in chosen)
     out_all, computed, plan = attend(
@@ -396,7 +364,6 @@ def step_chunk(
         attention_outputs=outputs,
         activation_sets=activation_sets,
         attended_key_count=attended,
-        computed_key_count=computed,
         folded_frames=n_folded,
         attention_plan=plan,
         wall_time=wall,

@@ -119,7 +119,10 @@ def compute_metrics(run: RolloutRun, full_run: Optional[RolloutRun] = None) -> R
     precision = retrieval_precision(run) if run.mode.uses_bank else None
     l2 = sma_vs_full_l2(run, full_run) if (run.mode is Mode.NAM_SMA and full_run) else 0.0
     mean_keys = float(np.mean([r.attended_key_count for r in run.results]))
-    computed_keys = float(np.mean([r.computed_key_count for r in run.results]))
+    # Each folded copy is P keys that every query of every (layer, head) pair skipped.
+    cfg = run.cfg
+    per_copy = cfg.layers * cfg.heads * cfg.frames_per_chunk * cfg.tokens_per_frame**2
+    computed_keys = mean_keys - per_copy * float(np.mean([r.folded_frames for r in run.results]))
     cps = len(run.results) / run.elapsed_seconds if run.elapsed_seconds > 0 else 0.0
     return RolloutMetrics(
         retrieval_precision=precision,

@@ -17,7 +17,7 @@ from membank.engine import (
 )
 from membank.errors import ScriptError, ShapeError
 from membank.frames import FrameKV
-from membank.metrics import chunk_digest, determinism_hash
+from membank.metrics import chunk_digest, compute_metrics, determinism_hash
 from membank.oracles import random_frames
 from membank.script import NarrativeScript, Segment, parse_script
 from membank.toymodel import (
@@ -277,13 +277,14 @@ class TestAttentionPlan:
     def test_wide_geometry_slices_only_long_rows(self):
         # At P=64 a product over all 4 pairs fits R = 256 keys, so every
         # row past the first chunk's is cut. Folded repeats shorten the
-        # rows: at chunk 1 every mode with memory attends only the chunk
-        # and the window, and `nam_full` drops 3 to 5 frames per chunk.
+        # rows: at chunk 1 `frame_sink` and `nam_full` attend only the
+        # chunk and the window, which holds the sink, and `nam_full` drops
+        # 3 to 5 frames per chunk. SMA's selections are not folded.
         slices = {
             Mode.NO_MEMORY: [1, 2] + [3] * 10,
             Mode.FRAME_SINK: [1, 2] + [3] * 10,
             Mode.NAM_FULL: [1, 2] + [3] * 2 + [4] * 4 + [5] * 4,
-            Mode.NAM_SMA: [1, 2] + [3] * 10,
+            Mode.NAM_SMA: [1] + [3] * 11,
         }
         for mode in Mode:
             plans = [res.attention_plan for res in rollout(SAMPLE_SCRIPT, WIDE_CFG, mode).results]
@@ -293,10 +294,10 @@ class TestAttentionPlan:
 @pytest.mark.parametrize(
     "cfg, hashes",
     [
-        (ModelConfig(), ["0196211fbf8f5f71", "07be4f6d72229ad1", "f079f9014abbea8b", "2cfa9739abe8626e"]),
+        (ModelConfig(), ["0196211fbf8f5f71", "07be4f6d72229ad1", "f079f9014abbea8b", "68fb580b73090de7"]),
         (
             ModelConfig(tokens_per_frame=64, bank_capacity=12, sma_k=3),
-            ["ac9e56cca433aaa6", "cfec98199ac19433", "83c8cf19ee8ac275", "65f13cfa9200f887"],
+            ["ac9e56cca433aaa6", "cfec98199ac19433", "83c8cf19ee8ac275", "53230f3d0aa039bc"],
         ),
     ],
     ids=["default", "wide"],
@@ -322,16 +323,20 @@ def step_script(script, cfg, mode):
         yield cfg, w, pre_state, chunk, state, res
 
 
+def chunk_pool(pre_state, state):
+    """The chunk's memory pool: the sink, and the updated bank in the bank
+    modes."""
+    if state.mode is Mode.NO_MEMORY:
+        return ()
+    if state.mode is Mode.FRAME_SINK:
+        return pre_state.sink.frames
+    return pre_state.sink.frames + state.bank.frames
+
+
 def attended_frames(pre_state, state, res):
     """Each layer's memory frames, as objects, before any fold: the pool
-    of the chunk (the sink, and the updated bank in the bank modes) as
-    each layer's activation set selects it."""
-    if state.mode is Mode.NO_MEMORY:
-        pool = ()
-    elif state.mode is Mode.FRAME_SINK:
-        pool = pre_state.sink.frames
-    else:
-        pool = pre_state.sink.frames + state.bank.frames
+    as each layer's activation set selects it."""
+    pool = chunk_pool(pre_state, state)
     return [pool if act is None else tuple(pool[i] for i in act.indices) for act in res.activation_sets]
 
 
@@ -353,11 +358,14 @@ def unfolded_attention(cfg, w, pre_state, chunk, selected):
     return [out[:, l * H : (l + 1) * H] for l in range(L)], keys
 
 
-def repeats_every_layer_attends(window, selected):
-    """The copies every layer could drop: for each frame object, its
-    fewest copies in any layer's window ++ memory, less the one kept."""
-    counts = [Counter(map(id, window + chosen)) for chosen in selected]
-    return sum(max(0, min(c[x] for c in counts) - 1) for x in counts[0])
+def expected_folds(pre_state, state, res):
+    """The copies the engine drops: when every layer attends the whole
+    pool, each frame's copies in window ++ pool, less the one kept; when
+    SMA selects part of it, none."""
+    pool = chunk_pool(pre_state, state)
+    if any(act is not None and len(act.indices) < len(pool) for act in res.activation_sets):
+        return 0
+    return sum(n - 1 for n in Counter(map(id, pre_state.local_window + pool)).values())
 
 
 # 30 chunks whose topics return, so frames leave and re-enter the bank.
@@ -365,28 +373,32 @@ FOLD_SCRIPT = make_script(seed=17, pattern=(0, 1, 2, 0, 1, 0, 2, 2, 1, 0), chunk
 
 
 class TestFold:
-    """A frame that every layer attends more than once is attended once,
-    its V rows scaled by its count. The outputs are those of the whole
-    multiset, and the record still counts every copy."""
+    """When every layer attends the whole pool, a frame it holds more
+    than once is attended once, its V rows scaled by its count. The
+    outputs are those of the whole multiset, and the record still counts
+    every copy."""
 
     @pytest.mark.parametrize("cfg", [ModelConfig(), WIDE_CFG], ids=["default", "wide"])
     @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
     def test_fold_keeps_the_multiset(self, mode, cfg):
-        G, T, P = cfg.layers * cfg.heads, cfg.frames_per_chunk, cfg.tokens_per_frame
-        folded = 0
+        T = cfg.frames_per_chunk
+        folded = computed = 0
         for c, (cfg, w, pre_state, chunk, state, res) in enumerate(step_script(FOLD_SCRIPT, cfg, mode)):
             selected = attended_frames(pre_state, state, res)
             assert res.selected_frame_ids == [[f.frame_id for f in chosen] for chosen in selected]
             want, keys = unfolded_attention(cfg, w, pre_state, chunk, selected)
             for got, ref in zip(res.attention_outputs, want):
                 assert np.max(np.abs(got - ref)) <= 1e-12
-            assert res.folded_frames == repeats_every_layer_attends(pre_state.local_window, selected)
+            assert res.folded_frames == expected_folds(pre_state, state, res)
             window = min(c * T, cfg.local_window)
             assert res.attended_key_count == keys == expected_key_count(cfg, len(selected[0]), window)
-            assert res.computed_key_count == keys - G * T * P * P * res.folded_frames
             folded += res.folded_frames
+            # `attend` ran over the memory frames left after the fold.
+            computed += expected_key_count(cfg, len(selected[0]) - res.folded_frames, window)
         assert c + 1 == 30
-        assert (folded > 0) == (mode is not Mode.NO_MEMORY)
+        assert (folded > 0) == (mode in (Mode.FRAME_SINK, Mode.NAM_FULL))
+        metrics = compute_metrics(rollout(FOLD_SCRIPT, cfg, mode))
+        assert metrics.mean_computed_keys == pytest.approx(computed / 30, rel=1e-12)
 
     def test_copies_are_objects_not_ids(self):
         # A bank frame with a window frame's id but its own keys is not a
@@ -401,7 +413,7 @@ class TestFold:
         selected = attended_frames(pre_state, state, res)
         by_id = [Counter(f.frame_id for f in pre_state.local_window + chosen) for chosen in selected]
         id_repeats = sum(max(0, min(c[i] for c in by_id) - 1) for i in by_id[0])
-        assert res.folded_frames == repeats_every_layer_attends(pre_state.local_window, selected) < id_repeats
+        assert res.folded_frames == expected_folds(pre_state, state, res) < id_repeats
         want, _ = unfolded_attention(CFG, w, pre_state, chunk, selected)
         assert all(np.max(np.abs(got - ref)) <= 1e-12 for got, ref in zip(res.attention_outputs, want))
 
@@ -494,7 +506,7 @@ class TestRandomConfigs:
             for pre_state, chunk, state, res in steps:
                 assert len(state.bank) <= cfg.bank_capacity
                 selected = attended_frames(pre_state, state, res)
-                assert res.folded_frames == repeats_every_layer_attends(pre_state.local_window, selected)
+                assert res.folded_frames == expected_folds(pre_state, state, res)
                 want, keys = unfolded_attention(cfg, w, pre_state, chunk, selected)
                 assert res.attended_key_count == keys
                 assert all(np.max(np.abs(got - ref)) <= 1e-12 for got, ref in zip(res.attention_outputs, want))
