@@ -5,10 +5,10 @@ Commands:
   verify  every acceptance criterion that does not depend on timing
           (exit 2 on failure)
   bench   the four modes at the --config geometry over --script, stepping
-          chunk by chunk in turn over timed passes: per mode the
-          metrics, median throughput, phase times and minor page faults
-          per chunk, and whether the throughput ordering holds; a table,
-          and a CSV or JSON report with --out
+          chunk by chunk in turn over timed passes: the config, per mode
+          the metrics, median throughput, phase times and minor page
+          faults per chunk, and whether the throughput ordering holds;
+          JSON to stdout or --out
 
 Exit codes: 0 success, 1 validation failure (a usage error included),
 2 verify/acceptance failure.
@@ -23,9 +23,9 @@ import json
 import sys
 from pathlib import Path
 
-from .engine import Mode, rollout
+from .engine import NOISE_EPS, Mode, rollout
 from .errors import ConfigError, MembankError
-from .metrics import bench_modes, compute_metrics, metrics_to_json, rows_to_csv
+from .metrics import bench_modes, compute_metrics, metrics_to_dict
 from .script import NarrativeScript, is_int, parse_script, read_json
 from .toymodel import ModelConfig
 from .verify import run_all_checks
@@ -59,11 +59,14 @@ def _load_script(args) -> NarrativeScript:
     return script if args.seed is None else dataclasses.replace(script, seed=args.seed)
 
 
-def _write_or_print(text: str, out):
+def _report(doc: dict, out):
+    """Write `doc` as indented JSON to the file `out`, or print it when
+    out is None; the file holds exactly the text that would print."""
+    text = json.dumps(doc, indent=2) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def cmd_run(args) -> int:
@@ -73,8 +76,7 @@ def cmd_run(args) -> int:
     run = rollout(script, cfg, mode, noise_eps=args.noise_eps)
     full = rollout(script, cfg, Mode.NAM_FULL, noise_eps=args.noise_eps) if mode is Mode.NAM_SMA else None
     m = compute_metrics(run, full)
-    doc = metrics_to_json(m, extra={"mode": mode.value, "seed": script.seed, "chunks": len(run.results)})
-    _write_or_print(doc, args.out)
+    _report({"mode": mode.value, "seed": script.seed, "chunks": len(run.results), **metrics_to_dict(m)}, args.out)
     return 0
 
 
@@ -84,16 +86,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = load_config(args.config)
-    report = bench_modes(_load_script(args), cfg, noise_eps=args.noise_eps, repeats=args.repeat)
-    widths = {name: max(len(name), 10) for name in report["rows"][0]}
-    print(" ".join(f"{name:>{w}}" for name, w in widths.items()))
-    for row in report["rows"]:
-        cells = ("-" if v is None else v if isinstance(v, str) else f"{v:.5g}" for v in row.values())
-        print(" ".join(f"{cell:>{w}}" for cell, w in zip(cells, widths.values())))
-    print(f"throughput ordering ok: {report['throughput_ordering_ok']}")
-    if args.out:
-        text = rows_to_csv(report) if str(args.out).endswith(".csv") else json.dumps(report, indent=2)
-        Path(args.out).write_text(text, encoding="utf-8")
+    _report(bench_modes(_load_script(args), cfg, repeats=args.repeat, noise_eps=args.noise_eps), args.out)
     return 0
 
 
@@ -113,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="JSON model config file")
         sp.add_argument("--seed", type=int, help="override script seed")
-        sp.add_argument("--noise-eps", type=float, default=0.05, dest="noise_eps")
+        sp.add_argument("--noise-eps", type=float, default=NOISE_EPS, dest="noise_eps")
 
     sp = sub.add_parser("run", help="run one rollout and report metrics")
     sp.add_argument("--script", required=True)

@@ -50,6 +50,7 @@ __all__ = [
     "step_chunk",
     "script_inputs",
     "rollout",
+    "NOISE_EPS",
 ]
 
 # Logit bytes one attention product may hold: every product covers all
@@ -64,6 +65,10 @@ LOGIT_BLOCK_BYTES = 512 * 1024
 # the numerator nor the row sum can overflow or underflow to zero. See
 # the README's "Attention" note.
 UNSHIFTED_LOGIT_BOUND = 64.0
+
+# Default token noise of the topic space a rollout synthesises its chunks
+# from (`toymodel.make_topic_space`); the CLI's --noise-eps default.
+NOISE_EPS = 0.05
 
 
 class _Workspace(threading.local):
@@ -382,7 +387,7 @@ def step_chunk(
     return new_state, result
 
 
-def script_inputs(script: NarrativeScript, cfg: ModelConfig, noise_eps: float = 0.05):
+def script_inputs(script: NarrativeScript, cfg: ModelConfig, noise_eps: float = NOISE_EPS):
     """The config seeded by `script`, the weights, and a lazy stream of
     each chunk's (prompt, tokens, synthesis seconds): its `synth_chunk`
     time plus its share of the segment's `encode_prompt`."""
@@ -409,7 +414,7 @@ def rollout(
     script: NarrativeScript,
     cfg: ModelConfig,
     mode: Mode,
-    noise_eps: float = 0.05,
+    noise_eps: float = NOISE_EPS,
 ) -> RolloutRun:
     """Run a full multi-segment script, synthesising each chunk just
     before stepping it, and collect per-chunk records; each result's

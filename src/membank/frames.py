@@ -61,14 +61,18 @@ class FrameKV:
         (layer, head): log sum_p exp(k_p . q / sqrt(d)), flattened to
         [L * H] so a bank's statistics stack with one concatenate.
 
-        query is a `retrieval.TextQuery` matching the frame's layers,
-        heads and head dim. The result is kept in a one-slot memo keyed on
-        the query object (`is`); both arrays are read-only, so it is a
-        pure function of (frame, query). Another query replaces the slot.
+        query is a `retrieval.TextQuery`; a query whose layers, heads or
+        head dim differ from the frame's raises ShapeError. The result is
+        kept in a one-slot memo keyed on the query object (`is`); both
+        arrays are read-only, so it is a pure function of (frame, query).
+        Another query replaces the slot.
         """
         memo = self._lse_memo
         if memo is not None and memo[0] is query:
             return memo[1]
+        layers, heads, _, d = self.k.shape
+        if query.q.shape != (layers, heads, d):
+            raise ShapeError(f"query [L,H,d]={query.q.shape} incompatible with frame kv {self.k.shape}")
         logits = (self.k @ query.scaled[..., None])[..., 0]  # [L, H, P]
         lse = np.logaddexp.reduce(logits, axis=2).ravel()
         lse.setflags(write=False)

@@ -3,19 +3,16 @@ report built on it."""
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
-import json
 import resource
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .engine import Mode, RolloutRun, initial_state, script_inputs, step_chunk
+from .engine import NOISE_EPS, Mode, RolloutRun, initial_state, script_inputs, step_chunk
 from .errors import ConfigError, InapplicableMetricError
 from .script import NarrativeScript
 from .toymodel import ModelConfig
@@ -31,8 +28,7 @@ __all__ = [
     "time_modes",
     "bench_modes",
     "throughput_ordering",
-    "metrics_to_json",
-    "rows_to_csv",
+    "metrics_to_dict",
 ]
 
 
@@ -145,7 +141,7 @@ class ModeTimes:
 
 
 def time_modes(
-    script: NarrativeScript, cfg: ModelConfig, noise_eps: float = 0.05, repeats: int = 3
+    script: NarrativeScript, cfg: ModelConfig, *, repeats: int, noise_eps: float = NOISE_EPS
 ) -> dict[Mode, ModeTimes]:
     """Time every mode over one stream of `script_inputs`, built once.
 
@@ -185,30 +181,36 @@ def time_modes(
     return times
 
 
-def bench_modes(script: NarrativeScript, cfg: ModelConfig, noise_eps: float = 0.05, repeats: int = 1) -> dict:
-    """One flat row per mode, in `Mode` order, from one `time_modes` call
-    at the config's geometry: the untimed pass's `metrics_to_dict`
-    fields, but chunks_per_second is the median over passes of chunks /
-    (step_chunk + synthesis seconds), the work rollout's counts; then the
-    median ms per chunk of each `wall_time` phase and the median minor
-    faults per chunk. `nam_sma`'s L2 gap is against the same pass's
-    `nam_full`. `throughput_ordering_ok` checks the rows' chunks/s."""
+def bench_modes(script: NarrativeScript, cfg: ModelConfig, *, repeats: int, noise_eps: float = NOISE_EPS) -> dict:
+    """The bench report of one `time_modes` call: `config`, the config
+    the rows were measured at (seeded by the script), and one flat row
+    per mode, in `Mode` order. A row holds the untimed pass's
+    `metrics_to_dict` fields, but chunks_per_second is the median over
+    passes of chunks / (step_chunk + synthesis seconds), the work
+    rollout's counts; then the median ms per chunk of each `wall_time`
+    phase and the median minor faults per chunk. `nam_sma`'s L2 gap is
+    against the same pass's `nam_full`. `throughput_ordering_ok` checks
+    the rows' chunks/s."""
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    times = time_modes(script, cfg, noise_eps, repeats)
+    times = time_modes(script, cfg, repeats=repeats, noise_eps=noise_eps)
     rows = []
     for mode, t in times.items():
         n = len(t.run.results)
         synthesis = sum(r.wall_time["synthesis"] for r in t.run.results)
         m = compute_metrics(t.run, times[Mode.NAM_FULL].run if mode is Mode.NAM_SMA else None)
         m = replace(m, chunks_per_second=statistics.median(n / (s + synthesis) for s in t.step_seconds))
-        row = {"mode": mode.value, "bank_capacity": cfg.bank_capacity, **metrics_to_dict(m)}
+        row = {"mode": mode.value, **metrics_to_dict(m)}
         for name in t.wall_times[0]:
             row[f"{name}_ms"] = _sig9(statistics.median(1e3 * w[name] for w in t.wall_times))
         row["minor_faults_per_chunk"] = _sig9(statistics.median(f / n for f in t.minor_faults))
         rows.append(row)
     cps_by_mode = {Mode(row["mode"]): row["chunks_per_second"] for row in rows}
-    return {"rows": rows, "throughput_ordering_ok": throughput_ordering(cps_by_mode)}
+    return {
+        "config": asdict(times[Mode.NO_MEMORY].run.cfg),
+        "rows": rows,
+        "throughput_ordering_ok": throughput_ordering(cps_by_mode),
+    }
 
 
 def throughput_ordering(cps_by_mode: dict[Mode, float]) -> bool:
@@ -235,17 +237,3 @@ def metrics_to_dict(m: RolloutMetrics) -> dict:
         "chunks_per_second": _sig9(m.chunks_per_second),
         "determinism_hash": m.determinism_hash,
     }
-
-
-def metrics_to_json(m: RolloutMetrics, extra: Optional[dict] = None) -> str:
-    doc = dict(extra or {})
-    doc.update(metrics_to_dict(m))
-    return json.dumps(doc, indent=2)
-
-
-def rows_to_csv(report: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(report["rows"][0]))
-    writer.writeheader()
-    writer.writerows(report["rows"])
-    return buf.getvalue()

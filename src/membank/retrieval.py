@@ -77,12 +77,7 @@ def text_relevance_scores(query: TextQuery, bank: MemoryBank) -> np.ndarray:
     """
     if len(bank) == 0:
         raise EmptyMemoryError("cannot score an empty memory bank")
-    layers, heads, d = query.q.shape
-    first = bank.frames[0]
-    if first.k.shape[:2] != (layers, heads) or first.k.shape[3] != d:
-        raise ShapeError(
-            f"query [L,H,d]={query.q.shape} incompatible with frame kv {first.k.shape}"
-        )
+    layers, heads, _ = query.q.shape
     lse = np.concatenate([f.relevance_lse(query) for f in bank.frames]).reshape(len(bank), -1)
     shares = np.exp(lse - np.logaddexp.reduce(lse, axis=0))  # each frame's softmax mass
     return shares.sum(axis=1) / [f.k.shape[2] * layers * heads for f in bank.frames]

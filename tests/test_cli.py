@@ -1,10 +1,10 @@
-import csv
 import json
 
 import pytest
 
 from membank.cli import main
 from membank.engine import Mode
+from membank.metrics import bench_modes
 
 SCRIPT = {
     "seed": 6,
@@ -65,26 +65,41 @@ def test_seed_flag_overrides_script_seed(script_path, tmp_path):
     assert a["determinism_hash"] != c["determinism_hash"]
 
 
-def test_ablate_csv(script_path, tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    rc = main(["bench", "--script", script_path, "--repeat", "1", "--out", str(out)])
-    assert rc == 0
-    rows = list(csv.DictReader(out.read_text().splitlines()))
-    assert [(r["mode"], r["bank_capacity"]) for r in rows] == [(m.value, "3") for m in Mode]
+def test_bench_out_writes_the_printed_text(script_path, tmp_path, capsys, monkeypatch):
+    # Timings differ between runs, so both commands report one measured
+    # document; what differs is only where the text goes.
+    import membank.cli
+
+    reports = []
+
+    def bench_once(*args, **kwargs):
+        if not reports:
+            reports.append(bench_modes(*args, **kwargs))
+        return reports[0]
+
+    monkeypatch.setattr(membank.cli, "bench_modes", bench_once)
+    assert main(["bench", "--script", script_path, "--repeat", "1"]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--script", script_path, "--repeat", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == printed
+    assert json.loads(printed) == reports[0]
 
 
-def test_ablate_json_rows_match_csv(script_path, tmp_path, capsys):
+def test_bench_config_keys(script_path, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bank_capacity": 4}))
-    out_json, out_csv = tmp_path / "b.json", tmp_path / "b.csv"
-    for out in (out_json, out_csv):
-        assert main(["bench", "--script", script_path, "--config", str(cfg), "--repeat", "1", "--out", str(out)]) == 0
-    doc = json.loads(out_json.read_text())
-    header = out_csv.read_text().splitlines()[0].split(",")
-    assert list(doc) == ["rows", "throughput_ordering_ok"]
+    assert main(["bench", "--script", script_path, "--config", str(cfg), "--repeat", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["config", "rows", "throughput_ordering_ok"]
+    assert list(doc["config"]) == [
+        "layers", "heads", "head_dim", "tokens_per_frame", "frames_per_chunk", "local_window", "bank_capacity",
+        "sma_k", "seed",
+    ]
+    assert (doc["config"]["bank_capacity"], doc["config"]["seed"]) == (4, SCRIPT["seed"])
+    assert [r["mode"] for r in doc["rows"]] == [m.value for m in Mode]
     assert isinstance(doc["throughput_ordering_ok"], bool)
-    assert [(r["mode"], r["bank_capacity"]) for r in doc["rows"]] == [(m.value, 4) for m in Mode]
-    assert all(list(r) == header for r in doc["rows"])
 
 
 def test_ablate_default_grid_prints_table(script_path, capsys):
@@ -136,19 +151,14 @@ def test_bench_runs(script_path, capsys, tmp_path):
     cfg.write_text(json.dumps({"tokens_per_frame": 4, "head_dim": 4}))
     rc = main(["bench", "--script", script_path, "--repeat", "1", "--config", str(cfg)])
     assert rc == 0
-    header, *rows, ordering = capsys.readouterr().out.splitlines()
-    assert header.split() == [
-        "mode", "bank_capacity", "retrieval_precision", "sma_vs_full_l2", "mean_attended_keys", "mean_computed_keys",
-        "chunks_per_second", "determinism_hash", "retrieval_update_ms", "projection_ms", "selection_ms", "attention_ms",
-        "synthesis_ms", "minor_faults_per_chunk",
-    ]
-    assert [row.split()[:2] for row in rows] == [[m.value, "3"] for m in Mode]
-    assert ordering.startswith("throughput ordering ok: ")
-    for row in rows:
-        keys, computed, cps = map(float, row.split()[4:7])
-        retrieval, projection, selection, attention, synthesis, faults = map(float, row.split()[8:])
-        assert keys >= computed > 0 and cps > 0 and synthesis > 0 and projection > 0 and attention > 0
-        assert retrieval >= 0 and selection >= 0 and faults >= 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["config"]["tokens_per_frame"], doc["config"]["head_dim"]) == (4, 4)
+    assert [row["mode"] for row in doc["rows"]] == [m.value for m in Mode]
+    assert isinstance(doc["throughput_ordering_ok"], bool)
+    for row in doc["rows"]:
+        assert row["mean_attended_keys"] >= row["mean_computed_keys"] > 0 and row["chunks_per_second"] > 0
+        assert row["synthesis_ms"] > 0 and row["projection_ms"] > 0 and row["attention_ms"] > 0
+        assert row["retrieval_update_ms"] >= 0 and row["selection_ms"] >= 0 and row["minor_faults_per_chunk"] >= 0
 
 
 def test_bad_config_field(script_path, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -685,3 +687,16 @@ class TestFullMemoryOracle:
         a = full_memory_attention_oracle(q, pool, [], 0, 0, 0.3)
         b = sdp_attention_loop(q, k_cat, v_cat, 0.3)
         assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
+
+
+def test_engine_import_leaves_out_the_harness():
+    # The package re-exports nothing, so importing the engine loads
+    # neither the metrics and their timing loop nor the CLI.
+    import membank
+
+    src = Path(membank.__file__).parents[1]
+    code = "import sys, membank.engine; print(sorted({'membank.metrics', 'membank.cli'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

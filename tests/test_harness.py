@@ -10,9 +10,8 @@ from membank.metrics import (
     bench_modes,
     compute_metrics,
     determinism_hash,
-    metrics_to_json,
+    metrics_to_dict,
     retrieval_precision,
-    rows_to_csv,
     sma_vs_full_l2,
     throughput_ordering,
     time_modes,
@@ -132,16 +131,16 @@ class TestMetrics:
 
     def test_json_nine_significant_digits(self):
         run = rollout(single_topic_script(), CFG, Mode.NAM_FULL)
-        doc = json.loads(metrics_to_json(compute_metrics(run)))
-        x = doc["mean_attended_keys"]
+        x = metrics_to_dict(compute_metrics(run))["mean_attended_keys"]
         assert x == float(f"{x:.9g}")
 
 
 class TestAblationGrid:
     def test_rows_hash_as_rollouts(self):
         cfg = replace(CFG, bank_capacity=2)
-        report = bench_modes(revisiting_script(11), cfg)
-        assert [(r["mode"], r["bank_capacity"]) for r in report["rows"]] == [(m.value, 2) for m in Mode]
+        report = bench_modes(revisiting_script(11), cfg, repeats=1)
+        assert report["config"]["bank_capacity"] == 2
+        assert [r["mode"] for r in report["rows"]] == [m.value for m in Mode]
         rows = {Mode(r["mode"]): r for r in report["rows"]}
         assert report["throughput_ordering_ok"] is throughput_ordering({m: r["chunks_per_second"] for m, r in rows.items()})
         runs = {m: rollout(revisiting_script(11), cfg, m) for m in Mode}
@@ -170,12 +169,12 @@ class TestAblationGrid:
         assert throughput_ordering({**cps, Mode.NO_MEMORY: 2.0}) is False
 
     def test_capacity_sweep_rows(self):
-        # A capacity sweep is one run per config. Each run's rows carry its
-        # capacity, and only the bank modes' outputs depend on it.
+        # A capacity sweep is one run per config. Each run's report states
+        # its capacity, and only the bank modes' outputs depend on it.
         hashes = {}
         for b in (3, 6, 9):
-            report = bench_modes(revisiting_script(11), replace(CFG, bank_capacity=b))
-            assert [r["bank_capacity"] for r in report["rows"]] == [b] * len(Mode)
+            report = bench_modes(revisiting_script(11), replace(CFG, bank_capacity=b), repeats=1)
+            assert report["config"]["bank_capacity"] == b
             assert isinstance(report["throughput_ordering_ok"], bool)
             for r in report["rows"]:
                 hashes.setdefault(Mode(r["mode"]), set()).add(r["determinism_hash"])
@@ -186,19 +185,20 @@ class TestAblationGrid:
         with pytest.raises(ConfigError, match=f"repeats must be >= 1, got {repeats}"):
             bench_modes(revisiting_script(11), CFG, repeats=repeats)
 
-    def test_csv_shape(self):
-        report = bench_modes(single_topic_script(2), CFG)
-        lines = rows_to_csv(report).strip().splitlines()
-        assert lines[0] == ",".join(report["rows"][0]) == (
-            "mode,bank_capacity,retrieval_precision,sma_vs_full_l2,"
-            "mean_attended_keys,mean_computed_keys,chunks_per_second,determinism_hash,retrieval_update_ms,"
-            "projection_ms,selection_ms,attention_ms,synthesis_ms,minor_faults_per_chunk"
-        )
-        assert len(lines) == 1 + len(Mode)
+    def test_row_keys(self):
+        report = bench_modes(single_topic_script(2), CFG, repeats=1)
+        assert list(report) == ["config", "rows", "throughput_ordering_ok"]
+        assert [r["mode"] for r in report["rows"]] == [m.value for m in Mode]
+        for row in report["rows"]:
+            assert list(row) == [
+                "mode", "retrieval_precision", "sma_vs_full_l2", "mean_attended_keys", "mean_computed_keys",
+                "chunks_per_second", "determinism_hash", "retrieval_update_ms", "projection_ms", "selection_ms",
+                "attention_ms", "synthesis_ms", "minor_faults_per_chunk",
+            ]
 
     def test_rows_deterministic_modulo_time(self):
-        a = bench_modes(revisiting_script(11), CFG)
-        b = bench_modes(revisiting_script(11), CFG)
+        a = bench_modes(revisiting_script(11), CFG, repeats=1)
+        b = bench_modes(revisiting_script(11), CFG, repeats=1)
         for ra, rb in zip(a["rows"], b["rows"]):
             assert ra.pop("minor_faults_per_chunk") >= 0 and rb.pop("minor_faults_per_chunk") >= 0
             for timed in [k for k in ra if k.endswith("_ms")] + ["chunks_per_second"]:

@@ -84,6 +84,18 @@ class TestRelevanceScores:
         with pytest.raises(EmptyMemoryError):
             text_relevance_scores(make_query(rng), MemoryBank(3))
 
+    @pytest.mark.parametrize("bad_at", [0, 1], ids=["first_frame", "later_frame"])
+    @pytest.mark.parametrize("geometry", [(1, H, D), (L, 1, D), (L, H, D // 2)], ids=["layers", "heads", "dim"])
+    def test_mismatched_frame_rejected(self, rng, bad_at, geometry):
+        # A [1, H, P, d] frame would broadcast against an [L, H, d] query
+        # and score without error unless every frame is checked.
+        layers, heads, dim = geometry
+        bad = random_frames(rng, 1, layers, heads, P, dim, start_id=bad_at)[0]
+        frames = random_frames(rng, 2, tokens=P)
+        frames[bad_at] = bad
+        with pytest.raises(ShapeError, match=r"incompatible with frame kv"):
+            text_relevance_scores(make_query(rng), make_bank(frames))
+
 
 def planted_frame(frame_id, direction, magnitude):
     """Keys all along one basis direction of the query space."""
