@@ -16,7 +16,6 @@ import enum
 import math
 import threading
 import time
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -127,7 +126,7 @@ class ChunkResult:
     attention_outputs: list[np.ndarray]  # per layer, [T, H, P, d]
     activation_sets: list[Optional[ActivationSet]]  # per layer
     attended_key_count: int  # (query, key) pairs of the multiset, repeated frames counted per copy
-    folded_frames: int  # copies each layer's memory dropped; `attend` computed G*T*P*P fewer pairs per copy
+    folded_frames: int  # copies every layer's memory dropped, SMA's selections included; `attend` computed G*T*P*P fewer pairs per copy
     attention_plan: AttentionPlan
     wall_time: dict[str, float]  # seconds per step_chunk phase; rollout adds "synthesis"
     retained_bank_ids: list[int]
@@ -231,36 +230,61 @@ def attend(
 
 
 def _fold_repeats(window, memory):
-    """Fold the repeated frames of a chunk whose layers all attend the
-    whole pool, `memory`.
+    """Fold the repeated frames of a chunk: every layer drops the same
+    number m of memory copies.
 
-    A layer attends a frame twice when its memory holds a frame of the
-    local window (the window keeps the latest bank prototypes and, in
-    the first chunks, the sink's frames) or holds one frame twice
-    (frame 0 sits in both the sink and the bank). A copy is the same
-    object: ids alone may collide. The chunk's own frames are never
-    copies, since `project_kv` builds them in this step. A softmax over
-    a multiset equals the softmax over its distinct keys with each
-    key's weight multiplied by its count. So every memory copy of a
-    repeated frame is dropped but one, the window's or else the first in
-    memory, whose V rows, ones column included, are scaled by the count.
+    A layer attends a frame twice when the memory it selected holds a
+    frame of the local window (the window keeps the latest bank
+    prototypes and, in the first chunks, the sink's frames) or holds one
+    frame twice (frame 0 sits in both the sink and the bank). A copy is
+    the same object: ids alone may collide. The chunk's own frames are
+    never copies, since `project_kv` builds them in this step. A softmax
+    over a multiset equals the softmax over its distinct keys with each
+    key's weight multiplied by its count. So a layer can drop every
+    memory copy of a window frame, and every copy but the first of any
+    other frame, and scale the V rows of the copy it keeps, ones column
+    included, by the count. `attend` runs one key count for all (layer,
+    head) pairs, so each layer drops m copies, the fewest any layer can
+    drop, taking its droppable copies in selection order. When every
+    layer attends the whole pool they all agree, and one memory, the
+    pool, stands for them all.
 
-    Returns the memory frames kept, the number of copies dropped, and
-    the scales as (position in the context in frames, count). When no
-    frame repeats, that is `memory` itself after one set of ids.
+    `memory` holds each layer's selected frames. Returns each layer's
+    memory frames kept, m, and the V scales as (layer, position in the
+    context in frames, count), the layer a slice over all layers when
+    they all scale alike; or None when some layer can drop no copy.
+    Counting the copies costs a few set operations per layer; only a
+    chunk that folds walks its layers' frames.
     """
-    window_at = {id(f): i for i, f in enumerate(window)}
-    ids = set(map(id, memory))
-    if len(ids) == len(memory) and ids.isdisjoint(window_at):
-        return memory, 0, ()
-    counts = Counter(map(id, memory))
-    kept = {}  # each memory frame the window does not hold, first copy only
-    for f in memory:
-        if id(f) not in window_at:
-            kept.setdefault(id(f), f)
-    scales = [(j, counts[x]) for j, x in enumerate(kept) if counts[x] > 1]
-    scales += [(len(kept) + window_at[x], n + 1) for x, n in counts.items() if x in window_at]
-    return tuple(kept.values()), len(memory) - len(kept), scales
+    window_ids = {*map(id, window)}
+    m = len(memory[0])
+    for chosen in memory:
+        m = min(m, len(chosen) - len({*map(id, chosen)} - window_ids))
+        if not m:
+            return None
+    window_at = dict(zip(map(id, window), range(len(window))))
+    kept_memory, scales = [], []
+    for chosen in memory:
+        n_kept = len(chosen) - m
+        kept, at, extra = [], {}, {}  # frames kept; a kept frame's position; copies folded into a position
+        left = m
+        for f in chosen:
+            x = id(f)
+            if left:
+                p = n_kept + window_at[x] if x in window_at else at.get(x)
+                if p is not None:
+                    extra[p] = extra.get(p, 1) + 1
+                    left -= 1
+                    continue
+            at.setdefault(x, len(kept))
+            kept.append(f)
+        kept_memory.append(tuple(kept))
+        scales.append(list(extra.items()))
+    # Layers that scale the same copies by the same counts share one
+    # multiply per copy.
+    if all(s == scales[0] for s in scales[1:]):
+        return kept_memory, m, [(slice(None), p, n) for p, n in scales[0]]
+    return kept_memory, m, [(l, p, n) for l, layer in enumerate(scales) for p, n in layer]
 
 
 def step_chunk(
@@ -318,20 +342,20 @@ def step_chunk(
     # (about 0.8 MB each at P=64) let glibc trim the heap, and the next
     # chunk faults the same pages in again: 200-430 minor faults per P=64,
     # b=12 `nam_full` chunk, against 0-1 with the kept buffers.
-    # With the whole pool, a frame attended more than once is assembled
-    # once, its V rows scaled by its count (`_fold_repeats`). SMA's own
-    # selections are not folded: at P=16 the bookkeeping costs more than
-    # the keys it saves.
+    # A frame a layer attends more than once is assembled once, its V
+    # rows scaled by its count, and every layer drops the same number of
+    # copies (`_fold_repeats`), SMA's selections included. With the whole
+    # pool the layers agree, and one selection and one set of scales
+    # stand for all of them.
     t0 = time.perf_counter()
     L, H, T, P, d = cfg.layers, cfg.heads, cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.head_dim
     G = L * H
     q_scaled = (queries * (1.0 / math.sqrt(d))).reshape(T, G, P, d)
     recent = state.local_window + tuple(frames)
     whole_pool = all(len(chosen) == len(pool) for chosen in selected)
-    memory, n_folded, scales = selected, 0, ()
-    if whole_pool and pool:
-        kept, n_folded, scales = _fold_repeats(state.local_window, pool)
-        memory = [kept] * L
+    memory, n_folded, scales = ([pool] if whole_pool else selected), 0, ()
+    if pool:
+        memory, n_folded, scales = _fold_repeats(state.local_window, memory) or (memory, 0, ())
     # Every layer attends the same number of memory frames.
     n_mem = len(memory[0]) * P
     n_keys = n_mem + len(recent) * P
@@ -349,8 +373,9 @@ def step_chunk(
                 np.concatenate([f.k[l].swapaxes(1, 2) for f in chosen], axis=2, out=k[l, :, :, :n_mem])
                 np.concatenate([f.v[l] for f in chosen], axis=1, out=v[l, :, :n_mem, :d])
     v[..., d] = 1.0
-    for j, count in scales:
-        v[:, :, j * P : (j + 1) * P] *= count
+    for l, j, count in scales:
+        rows = v[l, :, j * P : (j + 1) * P]
+        rows *= count  # in place on the view; `v[...] *= count` would also write it back
     # Each frame's bound was computed once when it was built.
     key_bound = max(f.key_bound for chosen in (recent, *memory) for f in chosen)
     out_all, computed, plan = attend(

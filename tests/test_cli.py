@@ -1,10 +1,12 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
 from membank.cli import main
 from membank.engine import Mode
 from membank.metrics import bench_modes
+from membank.toymodel import ModelConfig
 
 SCRIPT = {
     "seed": 6,
@@ -102,10 +104,14 @@ def test_bench_config_keys(script_path, tmp_path, capsys):
     assert isinstance(doc["throughput_ordering_ok"], bool)
 
 
-def test_ablate_default_grid_prints_table(script_path, capsys):
+def test_bench_defaults_print_one_document(script_path, capsys):
+    # No --config and the default --repeat: the document states the
+    # default config, seeded by the script.
     assert main(["bench", "--script", script_path]) == 0
-    out = capsys.readouterr().out
-    assert "mode" in out and "chunks_per_second" in out
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"] == asdict(ModelConfig(seed=SCRIPT["seed"]))
+    assert [row["mode"] for row in doc["rows"]] == [m.value for m in Mode]
+    assert isinstance(doc["throughput_ordering_ok"], bool)
 
 
 def test_verify_passes(capsys, monkeypatch):

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from membank.activation import select_top_k
 from membank.engine import (
-    LOGIT_BLOCK_BYTES, AttentionPlan, Mode, attend, initial_state, rollout, script_inputs, step_chunk,
+    LOGIT_BLOCK_BYTES, AttentionPlan, Mode, RolloutState, attend, initial_state, rollout, script_inputs,
+    step_chunk,
 )
 from membank.errors import ScriptError, ShapeError
-from membank.frames import FrameKV
+from membank.frames import FrameKV, MemoryBank
 from membank.metrics import chunk_digest, compute_metrics, determinism_hash
 from membank.oracles import random_frames
 from membank.script import NarrativeScript, Segment, parse_script
@@ -29,6 +30,7 @@ from membank.toymodel import (
     make_topic_space,
     project_kv,
     project_queries,
+    query_descriptor,
     synth_chunk,
 )
 from membank.verify import expected_key_count, sma_full_pool_identity
@@ -279,14 +281,15 @@ class TestAttentionPlan:
     def test_wide_geometry_slices_only_long_rows(self):
         # At P=64 a product over all 4 pairs fits R = 256 keys, so every
         # row past the first chunk's is cut. Folded repeats shorten the
-        # rows: at chunk 1 `frame_sink` and `nam_full` attend only the
-        # chunk and the window, which holds the sink, and `nam_full` drops
-        # 3 to 5 frames per chunk. SMA's selections are not folded.
+        # rows: at chunk 1 every memory mode attends only the chunk and the
+        # window, which holds the sink, and `nam_full` drops 3 to 5 frames
+        # per chunk. From chunk 2 on the window is full, and `nam_sma`'s
+        # rows of 9 to 12 frames need 3 slices, folded or not.
         slices = {
             Mode.NO_MEMORY: [1, 2] + [3] * 10,
             Mode.FRAME_SINK: [1, 2] + [3] * 10,
             Mode.NAM_FULL: [1, 2] + [3] * 2 + [4] * 4 + [5] * 4,
-            Mode.NAM_SMA: [1] + [3] * 11,
+            Mode.NAM_SMA: [1, 2] + [3] * 10,
         }
         for mode in Mode:
             plans = [res.attention_plan for res in rollout(SAMPLE_SCRIPT, WIDE_CFG, mode).results]
@@ -296,10 +299,10 @@ class TestAttentionPlan:
 @pytest.mark.parametrize(
     "cfg, hashes",
     [
-        (ModelConfig(), ["0196211fbf8f5f71", "07be4f6d72229ad1", "f079f9014abbea8b", "68fb580b73090de7"]),
+        (ModelConfig(), ["0196211fbf8f5f71", "07be4f6d72229ad1", "f079f9014abbea8b", "c2fa1063177000aa"]),
         (
             ModelConfig(tokens_per_frame=64, bank_capacity=12, sma_k=3),
-            ["ac9e56cca433aaa6", "cfec98199ac19433", "83c8cf19ee8ac275", "53230f3d0aa039bc"],
+            ["ac9e56cca433aaa6", "cfec98199ac19433", "83c8cf19ee8ac275", "5cbcdfad4a87448b"],
         ),
     ],
     ids=["default", "wide"],
@@ -361,13 +364,16 @@ def unfolded_attention(cfg, w, pre_state, chunk, selected):
 
 
 def expected_folds(pre_state, state, res):
-    """The copies the engine drops: when every layer attends the whole
-    pool, each frame's copies in window ++ pool, less the one kept; when
-    SMA selects part of it, none."""
-    pool = chunk_pool(pre_state, state)
-    if any(act is not None and len(act.indices) < len(pool) for act in res.activation_sets):
-        return 0
-    return sum(n - 1 for n in Counter(map(id, pre_state.local_window + pool)).values())
+    """m, the copies every layer drops: the fewest any layer could drop.
+    A layer could drop every copy in its memory of a frame the window
+    holds, and all but one copy of any other frame it attends more than
+    once."""
+    window = set(map(id, pre_state.local_window))
+    droppable = [
+        sum(n if x in window else n - 1 for x, n in Counter(map(id, chosen)).items())
+        for chosen in attended_frames(pre_state, state, res)
+    ]
+    return min(droppable)
 
 
 # 30 chunks whose topics return, so frames leave and re-enter the bank.
@@ -375,10 +381,11 @@ FOLD_SCRIPT = make_script(seed=17, pattern=(0, 1, 2, 0, 1, 0, 2, 2, 1, 0), chunk
 
 
 class TestFold:
-    """When every layer attends the whole pool, a frame it holds more
-    than once is attended once, its V rows scaled by its count. The
-    outputs are those of the whole multiset, and the record still counts
-    every copy."""
+    """A frame a layer attends more than once is attended once, its V
+    rows scaled by its count, and every layer drops the same number of
+    copies, under SMA's selections as under the whole pool. The outputs
+    are those of the whole multiset, and the record still counts every
+    copy."""
 
     @pytest.mark.parametrize("cfg", [ModelConfig(), WIDE_CFG], ids=["default", "wide"])
     @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
@@ -398,7 +405,7 @@ class TestFold:
             # `attend` ran over the memory frames left after the fold.
             computed += expected_key_count(cfg, len(selected[0]) - res.folded_frames, window)
         assert c + 1 == 30
-        assert (folded > 0) == (mode in (Mode.FRAME_SINK, Mode.NAM_FULL))
+        assert (folded > 0) == (mode is not Mode.NO_MEMORY)
         metrics = compute_metrics(rollout(FOLD_SCRIPT, cfg, mode))
         assert metrics.mean_computed_keys == pytest.approx(computed / 30, rel=1e-12)
 
@@ -418,6 +425,72 @@ class TestFold:
         assert res.folded_frames == expected_folds(pre_state, state, res) < id_repeats
         want, _ = unfolded_attention(CFG, w, pre_state, chunk, selected)
         assert all(np.max(np.abs(got - ref)) <= 1e-12 for got, ref in zip(res.attention_outputs, want))
+
+    @staticmethod
+    def steered_sma_step(sink, bank, window):
+        """One `nam_sma` step of `CFG` (k = 2) from a hand-built state.
+
+        `sink` and `bank` are tuples of (frame id, per-layer SMA score),
+        and a repeated id is the same frame object; `window` names frames
+        of the pool by id, plus any new ids. A frame's keys are its score
+        times the chunk's unit query descriptor, so SMA ranks the pool by
+        the scores given. Returns the ids each layer selected, the folds,
+        and `expected_folds`; checks the outputs against the unfolded
+        multiset and the key count against `attend` on it."""
+        space = make_topic_space(2, CFG, 0.05)
+        w = init_weights(CFG)
+        prompt = encode_prompt("prompt about topic 0", 0, CFG, space, w)
+        chunk = synth_chunk(0, 7, CFG, space)
+        desc = query_descriptor(chunk, CFG, w)
+        unit = desc / np.linalg.norm(desc, axis=1, keepdims=True)
+        rng = np.random.default_rng(11)
+        shape = (CFG.layers, CFG.heads, CFG.tokens_per_frame, CFG.head_dim)
+        frames = {}
+
+        def frame(fid, scores=(0.0, 0.0)):
+            if fid not in frames:
+                k = np.broadcast_to((np.array(scores)[:, None] * unit)[:, None, None], shape)
+                frames[fid] = FrameKV(fid, k.copy(), rng.standard_normal(shape))
+            return frames[fid]
+
+        pre_state = RolloutState(
+            sink=MemoryBank(CFG.frames_per_chunk, tuple(frame(*f) for f in sink)),
+            bank=MemoryBank(CFG.bank_capacity, tuple(frame(*f) for f in bank)),
+            local_window=tuple(frame(fid) for fid in window),
+            prev_chunk=(),
+            mode=Mode.NAM_SMA,
+        )
+        state, res = step_chunk(pre_state, prompt, chunk, CFG, w)
+        selected = attended_frames(pre_state, state, res)
+        want, keys = unfolded_attention(CFG, w, pre_state, chunk, selected)
+        assert all(np.max(np.abs(got - ref)) <= 1e-12 for got, ref in zip(res.attention_outputs, want))
+        assert res.attended_key_count == keys
+        return res.selected_frame_ids, res.folded_frames, expected_folds(pre_state, state, res)
+
+    def test_layers_drop_their_own_window_repeats(self):
+        # Layer 0 selects A and B, both in the window; layer 1 selects B
+        # and C, and only B is. Layer 0 drops A and layer 1 drops B: one
+        # copy each, the fewer of the two layers' repeats.
+        ids, folded, expected = self.steered_sma_step(
+            sink=(), bank=((10, (3, 1)), (11, (2, 2)), (12, (1, 3))), window=(5, 10, 11)
+        )
+        assert ids == [[10, 11], [11, 12]]
+        assert folded == expected == 1
+
+    def test_one_layer_repeating_folds_nothing(self):
+        ids, folded, expected = self.steered_sma_step(
+            sink=(), bank=((10, (3, 1)), (11, (2, 3)), (12, (1, 2))), window=(5, 10)
+        )
+        assert ids == [[10, 11], [11, 12]]
+        assert folded == expected == 0
+
+    def test_frame_zero_selected_from_sink_and_bank(self):
+        # Frame 0's two pool copies tie exactly and top both layers.
+        ids, folded, expected = self.steered_sma_step(
+            sink=((0, (3, 3)), (1, (1, 2)), (2, (2, 1))), bank=((0, (3, 3)), (4, (0, 0))), window=(9,)
+        )
+        assert ids == [[0, 0], [0, 0]]
+        assert folded == expected == 1
 
 
 def digests(steps):
