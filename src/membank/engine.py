@@ -128,7 +128,7 @@ class ChunkResult:
     attended_key_count: int  # (query, key) pairs of the multiset, repeated frames counted per copy
     folded_frames: int  # copies every layer's memory dropped, SMA's selections included; `attend` computed G*T*P*P fewer pairs per copy
     attention_plan: AttentionPlan
-    wall_time: dict[str, float]  # seconds per step_chunk phase; rollout adds "synthesis"
+    wall_time: dict[str, float]  # seconds per step_chunk phase; time_modes adds "synthesis"
     retained_bank_ids: list[int]
     pre_update_bank_ids: list[int]
     relevance_scores: list[float]  # aligned with pre_update_bank_ids; empty when not scored
@@ -141,7 +141,7 @@ class RolloutRun:
     cfg: ModelConfig
     script: NarrativeScript
     results: list[ChunkResult]
-    elapsed_seconds: float
+    elapsed_seconds: float  # rollout's loop time; nothing in membank reads it
 
 
 def initial_state(cfg: ModelConfig, mode: Mode) -> RolloutState:
@@ -310,7 +310,7 @@ def step_chunk(
     wall["retrieval_update"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    frames = project_kv(chunk, cfg, weights)
+    frames = tuple(project_kv(chunk, cfg, weights))
     queries = project_queries(chunk, cfg, weights)  # [T, L, H, P, d]
     wall["projection"] = time.perf_counter() - t0
 
@@ -351,7 +351,7 @@ def step_chunk(
     L, H, T, P, d = cfg.layers, cfg.heads, cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.head_dim
     G = L * H
     q_scaled = (queries * (1.0 / math.sqrt(d))).reshape(T, G, P, d)
-    recent = state.local_window + tuple(frames)
+    recent = state.local_window + frames
     whole_pool = all(len(chosen) == len(pool) for chosen in selected)
     memory, n_folded, scales = ([pool] if whole_pool else selected), 0, ()
     if pool:
@@ -386,8 +386,8 @@ def step_chunk(
     outputs = [out_all[:, l * H : (l + 1) * H] for l in range(L)]
     wall["attention"] = time.perf_counter() - t0
 
-    sink = state.sink if state.sink.frames else replace(state.sink, frames=tuple(frames))
-    new_window = (state.local_window + tuple(frames))[-cfg.local_window :]
+    sink = state.sink if state.sink.frames else replace(state.sink, frames=frames)
+    new_window = recent[-cfg.local_window :]
 
     result = ChunkResult(
         chunk_id=chunk.chunk_id,
@@ -407,7 +407,7 @@ def step_chunk(
         sink=sink,
         bank=bank,
         local_window=new_window,
-        prev_chunk=tuple(frames),
+        prev_chunk=frames,
     )
     return new_state, result
 
@@ -442,15 +442,14 @@ def rollout(
     noise_eps: float = NOISE_EPS,
 ) -> RolloutRun:
     """Run a full multi-segment script, synthesising each chunk just
-    before stepping it, and collect per-chunk records; each result's
-    `wall_time` gets the chunk's synthesis seconds as "synthesis"."""
+    before stepping it, and collect per-chunk records. `wall_time` holds
+    the step_chunk phases only; `time_modes` adds "synthesis"."""
     cfg, weights, inputs = script_inputs(script, cfg, noise_eps)
     state = initial_state(cfg, mode)
     results: list[ChunkResult] = []
     started = time.perf_counter()
-    for prompt, chunk, synthesis in inputs:
+    for prompt, chunk, _ in inputs:
         state, res = step_chunk(state, prompt, chunk, cfg, weights)
-        res.wall_time["synthesis"] = synthesis
         results.append(res)
     elapsed = time.perf_counter() - started
     return RolloutRun(mode=mode, cfg=cfg, script=script, results=results, elapsed_seconds=elapsed)

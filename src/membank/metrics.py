@@ -7,7 +7,7 @@ import hashlib
 import resource
 import statistics
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,7 +38,6 @@ class RolloutMetrics:
     sma_vs_full_l2: float
     mean_attended_keys: float
     mean_computed_keys: float
-    chunks_per_second: float
     determinism_hash: str
 
 
@@ -119,13 +118,11 @@ def compute_metrics(run: RolloutRun, full_run: Optional[RolloutRun] = None) -> R
     cfg = run.cfg
     per_copy = cfg.layers * cfg.heads * cfg.frames_per_chunk * cfg.tokens_per_frame**2
     computed_keys = mean_keys - per_copy * float(np.mean([r.folded_frames for r in run.results]))
-    cps = len(run.results) / run.elapsed_seconds if run.elapsed_seconds > 0 else 0.0
     return RolloutMetrics(
         retrieval_precision=precision,
         sma_vs_full_l2=l2,
         mean_attended_keys=mean_keys,
         mean_computed_keys=computed_keys,
-        chunks_per_second=cps,
         determinism_hash=determinism_hash(run),
     )
 
@@ -134,7 +131,7 @@ def compute_metrics(run: RolloutRun, full_run: Optional[RolloutRun] = None) -> R
 class ModeTimes:
     """One mode in `time_modes`: the untimed pass's results, and what every timed pass measured."""
 
-    run: RolloutRun  # elapsed_seconds unset: bench_modes times from step_seconds
+    run: RolloutRun  # elapsed_seconds 0.0: chunks/s comes from step_seconds, in bench_modes
     step_seconds: list[float]  # per timed pass
     wall_times: list[dict[str, float]]  # per chunk of every timed pass
     minor_faults: list[int]  # per timed pass
@@ -185,27 +182,28 @@ def bench_modes(script: NarrativeScript, cfg: ModelConfig, *, repeats: int, nois
     """The bench report of one `time_modes` call: `config`, the config
     the rows were measured at (seeded by the script), and one flat row
     per mode, in `Mode` order. A row holds the untimed pass's
-    `metrics_to_dict` fields, but chunks_per_second is the median over
-    passes of chunks / (step_chunk + synthesis seconds), the work
-    rollout's counts; then the median ms per chunk of each `wall_time`
-    phase and the median minor faults per chunk. `nam_sma`'s L2 gap is
-    against the same pass's `nam_full`. `throughput_ordering_ok` checks
-    the rows' chunks/s."""
+    `metrics_to_dict` fields, with chunks_per_second before the hash;
+    then the median ms per chunk of each `wall_time` phase and the median
+    minor faults per chunk. chunks_per_second is the one throughput
+    figure in membank: the median over passes of chunks / (step_chunk +
+    synthesis seconds), the work rollout's loop does. `nam_sma`'s L2 gap
+    is against the same pass's `nam_full`. `throughput_ordering_ok`
+    checks the rows' chunks/s."""
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     times = time_modes(script, cfg, repeats=repeats, noise_eps=noise_eps)
-    rows = []
+    rows, cps_by_mode = [], {}
     for mode, t in times.items():
         n = len(t.run.results)
         synthesis = sum(r.wall_time["synthesis"] for r in t.run.results)
+        cps_by_mode[mode] = _sig9(statistics.median(n / (s + synthesis) for s in t.step_seconds))
         m = compute_metrics(t.run, times[Mode.NAM_FULL].run if mode is Mode.NAM_SMA else None)
-        m = replace(m, chunks_per_second=statistics.median(n / (s + synthesis) for s in t.step_seconds))
-        row = {"mode": mode.value, **metrics_to_dict(m)}
+        row = {"mode": mode.value, **metrics_to_dict(m), "chunks_per_second": cps_by_mode[mode]}
+        row["determinism_hash"] = row.pop("determinism_hash")  # after chunks_per_second
         for name in t.wall_times[0]:
             row[f"{name}_ms"] = _sig9(statistics.median(1e3 * w[name] for w in t.wall_times))
         row["minor_faults_per_chunk"] = _sig9(statistics.median(f / n for f in t.minor_faults))
         rows.append(row)
-    cps_by_mode = {Mode(row["mode"]): row["chunks_per_second"] for row in rows}
     return {
         "config": asdict(times[Mode.NO_MEMORY].run.cfg),
         "rows": rows,
@@ -234,6 +232,5 @@ def metrics_to_dict(m: RolloutMetrics) -> dict:
         "sma_vs_full_l2": _sig9(m.sma_vs_full_l2),
         "mean_attended_keys": _sig9(m.mean_attended_keys),
         "mean_computed_keys": _sig9(m.mean_computed_keys),
-        "chunks_per_second": _sig9(m.chunks_per_second),
         "determinism_hash": m.determinism_hash,
     }

@@ -7,11 +7,10 @@ fixed, not tuned at runtime."""
 import math
 import time
 
-import numpy as np
 import pytest
 
 from membank.engine import Mode, rollout
-from membank.metrics import determinism_hash, throughput_ordering, time_modes
+from membank.metrics import bench_modes, determinism_hash
 from membank.verify import C7_CFG, C7_SCRIPT, CHECKS
 
 # Seconds each check may take; a check not named here has no limit.
@@ -38,12 +37,10 @@ def test_criterion(name, check):
 
 
 def test_criterion_7_throughput_ordering():
-    # Synthesis and prompt encoding are shared, so leaving them out does not
-    # change the order: each mode's throughput is its median over 5 timed
-    # passes of step_chunk time alone.
-    timed = time_modes(C7_SCRIPT, C7_CFG, repeats=5)
-    same = all(determinism_hash(t.run) == determinism_hash(rollout(C7_SCRIPT, C7_CFG, m)) for m, t in timed.items())
-    medians = {m: float(np.median([len(t.run.results) / s for s in t.step_seconds])) for m, t in timed.items()}
-    ok = throughput_ordering(medians)
-    desc = ", ".join(f"{m.value}={medians[m]:.1f}" for m in Mode)
-    report("throughput_ordering", same and ok, f"{desc} chunks/s, interleaved steps hash as rollouts")
+    # The chunks/s of `membank bench`: each mode's median over 5 timed
+    # passes of chunks / (step_chunk + synthesis seconds).
+    doc = bench_modes(C7_SCRIPT, C7_CFG, repeats=5)
+    rows = {Mode(r["mode"]): r for r in doc["rows"]}
+    same = all(rows[m]["determinism_hash"] == determinism_hash(rollout(C7_SCRIPT, C7_CFG, m)) for m in Mode)
+    desc = ", ".join(f"{m.value}={rows[m]['chunks_per_second']:.1f}" for m in Mode)
+    report("throughput_ordering", same and doc["throughput_ordering_ok"], f"{desc} chunks/s, interleaved steps hash as rollouts")

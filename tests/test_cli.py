@@ -41,6 +41,15 @@ def test_run_prints_without_out(script_path, capsys):
     assert doc["retrieval_precision"] is None
 
 
+def test_run_reports_no_throughput(script_path, capsys):
+    # Throughput is `bench`'s alone; `run` reports what the rollout determines.
+    assert main(["run", "--script", script_path, "--mode", "nam_sma"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == [
+        "mode", "seed", "chunks", "retrieval_precision", "sma_vs_full_l2", "mean_attended_keys",
+        "mean_computed_keys", "determinism_hash",
+    ]
+
+
 def test_run_missing_script_is_validation_failure(tmp_path, capsys):
     rc = main(["run", "--script", str(tmp_path / "nope.json")])
     assert rc == 1

@@ -114,7 +114,6 @@ class TestMetrics:
         assert 0.0 <= m.retrieval_precision <= 1.0
         assert m.sma_vs_full_l2 >= 0.0
         assert m.mean_attended_keys > 0
-        assert m.chunks_per_second > 0
         assert len(m.determinism_hash) == 16
 
     def test_determinism_hash_repeatable(self):
@@ -135,7 +134,7 @@ class TestMetrics:
         assert x == float(f"{x:.9g}")
 
 
-class TestAblationGrid:
+class TestBenchModes:
     def test_rows_hash_as_rollouts(self):
         cfg = replace(CFG, bank_capacity=2)
         report = bench_modes(revisiting_script(11), cfg, repeats=1)
