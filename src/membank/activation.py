@@ -3,9 +3,8 @@
 Each candidate frame is condensed to a per-layer key descriptor
 (`FrameKV.key_descriptor`: its layer's keys averaged over heads and
 tokens, computed once per frame and kept on it); the current chunk's
-queries are condensed the same way (`toymodel.query_descriptor`, which
-pools the chunk's tokens before the linear query projection, so no
-[T, L, H, P, d] reduction runs). The inner product of the two
+queries, the [T, L, H, P, d] array attention itself reads, are condensed
+by the same rule in `sma_scores`. The inner product of the two
 descriptors scores each frame, the top-k frames are kept, and the
 engine's attention runs over the KV of the kept frames only. Dropped
 attention mass is not renormalized beyond the softmax over the kept keys.
@@ -36,15 +35,19 @@ class ActivationSet:
     scores: tuple[float, ...]
 
 
-def sma_scores(query_desc: np.ndarray, pool: Sequence[FrameKV]) -> np.ndarray:
+def sma_scores(queries: np.ndarray, pool: Sequence[FrameKV]) -> np.ndarray:
     """Relevance [L, len(pool)] of each pool frame to a chunk, per layer.
 
-    query_desc is the chunk's [L, d] query descriptor: its queries
-    averaged over frames, heads and tokens (`toymodel.query_descriptor`).
-    One selection per (chunk, layer) is shared by the layer's heads.
+    queries is the chunk's [T, L, H, P, d] query projection
+    (`toymodel.project_queries`), unscaled. Its [L, d] descriptor is the
+    queries averaged over frames, heads and tokens, in one reduction as
+    for a frame's keys. One selection per (chunk, layer) is shared by the
+    layer's heads.
     """
     if not pool:
         raise EmptyMemoryError("no candidate frames to score")
+    T, _, H, P, _ = queries.shape
+    query_desc = np.einsum("tlhpd->ld", queries) / (T * H * P)
     kd = np.array([f.key_descriptor for f in pool])  # [pool, L, d]
     if kd.shape[1:] != query_desc.shape:
         raise ShapeError(

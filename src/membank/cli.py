@@ -86,7 +86,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = load_config(args.config)
-    _report(bench_modes(_load_script(args), cfg, repeats=args.repeat, noise_eps=args.noise_eps), args.out)
+    _report(bench_modes(_load_script(args), cfg, repeats=args.repeat), args.out)
     return 0
 
 
@@ -106,12 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="JSON model config file")
         sp.add_argument("--seed", type=int, help="override script seed")
-        sp.add_argument("--noise-eps", type=float, default=NOISE_EPS, dest="noise_eps")
 
     sp = sub.add_parser("run", help="run one rollout and report metrics")
     sp.add_argument("--script", required=True)
     sp.add_argument("--mode", choices=sorted(MODE_NAMES), default=Mode.NAM_SMA.value)
     sp.add_argument("--out")
+    sp.add_argument("--noise-eps", type=float, default=NOISE_EPS, dest="noise_eps")
     common(sp)
     sp.set_defaults(fn=cmd_run)
 

@@ -34,7 +34,6 @@ from .toymodel import (
     make_topic_space,
     project_kv,
     project_queries,
-    query_descriptor,
     synth_chunk,
 )
 
@@ -66,7 +65,7 @@ LOGIT_BLOCK_BYTES = 512 * 1024
 UNSHIFTED_LOGIT_BOUND = 64.0
 
 # Default token noise of the topic space a rollout synthesises its chunks
-# from (`toymodel.make_topic_space`); the CLI's --noise-eps default.
+# from (`toymodel.make_topic_space`); `membank run --noise-eps`'s default.
 NOISE_EPS = 0.05
 
 
@@ -126,7 +125,7 @@ class ChunkResult:
     attention_outputs: list[np.ndarray]  # per layer, [T, H, P, d]
     activation_sets: list[Optional[ActivationSet]]  # per layer
     attended_key_count: int  # (query, key) pairs of the multiset, repeated frames counted per copy
-    folded_frames: int  # copies every layer's memory dropped, SMA's selections included; `attend` computed G*T*P*P fewer pairs per copy
+    computed_key_count: int  # pairs `attend` computed: G*T*P*P fewer per copy the fold dropped
     attention_plan: AttentionPlan
     wall_time: dict[str, float]  # seconds per step_chunk phase; time_modes adds "synthesis"
     retained_bank_ids: list[int]
@@ -324,7 +323,7 @@ def step_chunk(
 
     activation_sets: list[Optional[ActivationSet]] = [None] * cfg.layers
     if mode is Mode.NAM_SMA and pool:
-        scores = sma_scores(query_descriptor(chunk, cfg, weights), pool)
+        scores = sma_scores(queries, pool)
         activation_sets = [select_top_k(scores[l], cfg.sma_k) for l in range(cfg.layers)]
     # A layer without an activation set attends the whole pool.
     selected = [pool if act is None else tuple(pool[i] for i in act.indices) for act in activation_sets]
@@ -394,7 +393,7 @@ def step_chunk(
         attention_outputs=outputs,
         activation_sets=activation_sets,
         attended_key_count=attended,
-        folded_frames=n_folded,
+        computed_key_count=computed,
         attention_plan=plan,
         wall_time=wall,
         retained_bank_ids=retained_ids,

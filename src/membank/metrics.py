@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import NOISE_EPS, Mode, RolloutRun, initial_state, script_inputs, step_chunk
+from .engine import Mode, RolloutRun, initial_state, script_inputs, step_chunk
 from .errors import ConfigError, InapplicableMetricError
 from .script import NarrativeScript
 from .toymodel import ModelConfig
@@ -113,16 +113,11 @@ def sma_vs_full_l2(sma_run: RolloutRun, full_run: RolloutRun) -> float:
 def compute_metrics(run: RolloutRun, full_run: Optional[RolloutRun] = None) -> RolloutMetrics:
     precision = retrieval_precision(run) if run.mode.uses_bank else None
     l2 = sma_vs_full_l2(run, full_run) if (run.mode is Mode.NAM_SMA and full_run) else 0.0
-    mean_keys = float(np.mean([r.attended_key_count for r in run.results]))
-    # Each folded copy is P keys that every query of every (layer, head) pair skipped.
-    cfg = run.cfg
-    per_copy = cfg.layers * cfg.heads * cfg.frames_per_chunk * cfg.tokens_per_frame**2
-    computed_keys = mean_keys - per_copy * float(np.mean([r.folded_frames for r in run.results]))
     return RolloutMetrics(
         retrieval_precision=precision,
         sma_vs_full_l2=l2,
-        mean_attended_keys=mean_keys,
-        mean_computed_keys=computed_keys,
+        mean_attended_keys=float(np.mean([r.attended_key_count for r in run.results])),
+        mean_computed_keys=float(np.mean([r.computed_key_count for r in run.results])),
         determinism_hash=determinism_hash(run),
     )
 
@@ -137,9 +132,7 @@ class ModeTimes:
     minor_faults: list[int]  # per timed pass
 
 
-def time_modes(
-    script: NarrativeScript, cfg: ModelConfig, *, repeats: int, noise_eps: float = NOISE_EPS
-) -> dict[Mode, ModeTimes]:
+def time_modes(script: NarrativeScript, cfg: ModelConfig, *, repeats: int) -> dict[Mode, ModeTimes]:
     """Time every mode over one stream of `script_inputs`, built once.
 
     One untimed pass, which takes the process's slow first chunks, then
@@ -151,7 +144,7 @@ def time_modes(
     so each mode keeps the untimed pass's `ChunkResult`s, and no timed
     pass grows the heap to hold its own.
     """
-    cfg, weights, inputs = script_inputs(script, cfg, noise_eps)
+    cfg, weights, inputs = script_inputs(script, cfg)
     inputs = list(inputs)
     modes = list(Mode)
     times = {mode: ModeTimes(RolloutRun(mode, cfg, script, [], 0.0), [], [], []) for mode in modes}
@@ -178,7 +171,7 @@ def time_modes(
     return times
 
 
-def bench_modes(script: NarrativeScript, cfg: ModelConfig, *, repeats: int, noise_eps: float = NOISE_EPS) -> dict:
+def bench_modes(script: NarrativeScript, cfg: ModelConfig, *, repeats: int) -> dict:
     """The bench report of one `time_modes` call: `config`, the config
     the rows were measured at (seeded by the script), and one flat row
     per mode, in `Mode` order. A row holds the untimed pass's
@@ -191,7 +184,7 @@ def bench_modes(script: NarrativeScript, cfg: ModelConfig, *, repeats: int, nois
     checks the rows' chunks/s."""
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    times = time_modes(script, cfg, repeats=repeats, noise_eps=noise_eps)
+    times = time_modes(script, cfg, repeats=repeats)
     rows, cps_by_mode = [], {}
     for mode, t in times.items():
         n = len(t.run.results)

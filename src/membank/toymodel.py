@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "synth_chunk",
     "project_kv",
     "project_queries",
-    "query_descriptor",
 ]
 
 # Relative size of the independent jitter between the query and key
@@ -134,14 +132,6 @@ class Weights:
     wk: np.ndarray
     wv: np.ndarray
 
-    @cached_property
-    def wq_head_sum(self) -> np.ndarray:
-        """wq summed over heads, [L, model_dim, head_dim]; computed on first
-        use and kept, for `query_descriptor`."""
-        s = self.wq.sum(axis=1)
-        s.setflags(write=False)
-        return s
-
 
 def _rng(*parts) -> np.random.Generator:
     """Deterministic generator keyed on arbitrary hashable parts."""
@@ -236,15 +226,3 @@ def project_kv(chunk: ChunkTokens, cfg: ModelConfig, weights: Weights) -> list[F
 def project_queries(chunk: ChunkTokens, cfg: ModelConfig, weights: Weights) -> np.ndarray:
     """Query projections for a chunk's tokens: [T, L, H, P, head_dim]."""
     return np.matmul(chunk.frames[:, None, None], weights.wq)
-
-
-def query_descriptor(chunk: ChunkTokens, cfg: ModelConfig, weights: Weights) -> np.ndarray:
-    """SMA query descriptor [L, head_dim]: the chunk's query projections
-    averaged over frames, tokens and heads.
-
-    The projection is linear, so the tokens are summed first and the sum
-    is projected once through `Weights.wq_head_sum`, in place of reducing
-    the [T, L, H, P, d] output of `project_queries`.
-    """
-    T, P, _ = chunk.frames.shape
-    return chunk.frames.sum(axis=(0, 1)) @ weights.wq_head_sum / (T * P * cfg.heads)

@@ -1,6 +1,6 @@
-"""Sparse memory activation as the engine runs it: frame key descriptors
-and the chunk's query descriptor, `sma_scores`, `select_top_k`, and
-`step_chunk` in `nam_sma` against `nam_full`."""
+"""Sparse memory activation as the engine runs it: frame key descriptors,
+`sma_scores` on the chunk's queries, `select_top_k`, and `step_chunk` in
+`nam_sma` against `nam_full`."""
 
 import math
 from dataclasses import replace
@@ -18,14 +18,11 @@ from membank.frames import FrameKV, MemoryBank
 from membank.oracles import best_subset, random_frames
 from membank.retrieval import TextQuery
 from membank.toymodel import (
-    ChunkTokens,
     ModelConfig,
-    Weights,
     init_weights,
     make_topic_space,
     project_kv,
     project_queries,
-    query_descriptor,
     synth_chunk,
 )
 
@@ -42,29 +39,15 @@ def constant_frame(row, shape=(2, 2, 3)):
     return frame(np.broadcast_to(row, shape + (len(row),)))
 
 
-def constant_query_descriptor(row, layers=2, heads=2, frames=2, tokens=3):
-    """The engine's query descriptor of a chunk whose every query equals
-    row: each token is the first basis vector, and every (layer, head)
-    projects it to row."""
-    d = len(row)
-    cfg = ModelConfig(layers=layers, heads=heads, head_dim=d, tokens_per_frame=tokens, frames_per_chunk=frames)
-    wq = np.zeros((layers, heads, cfg.model_dim, d))
-    wq[:, :, 0] = row
-    x = np.zeros((frames, tokens, cfg.model_dim))
-    x[..., 0] = 1.0
-    return query_descriptor(ChunkTokens(0, x), cfg, Weights(wq=wq, wk=wq, wv=wq))
+def constant_queries(row, shape=(2, 2, 2, 3)):
+    """[T, L, H, P, d] chunk queries that all equal row."""
+    return np.broadcast_to(row, shape + (len(row),))
 
 
-# Frames of oracles.random_frames' default shape: L=2, H=2, P=4, d=8.
-RANDOM_CFG = ModelConfig(head_dim=8, tokens_per_frame=4, frames_per_chunk=2)
-
-
-def random_chunk_queries(rng, cfg=RANDOM_CFG):
-    """A random chunk's query descriptor, as the engine builds it, and its
-    [T, L, H, P, d] query projection, which the scalar oracle pools."""
-    chunk = ChunkTokens(0, rng.standard_normal((cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.model_dim)))
-    w = init_weights(cfg)
-    return query_descriptor(chunk, cfg, w), project_queries(chunk, cfg, w)
+def random_chunk_queries(rng):
+    """Random [T=2, L, H, P, d] chunk queries for frames of
+    oracles.random_frames' default shape: L=2, H=2, P=4, d=8."""
+    return rng.standard_normal((2, 2, 2, 4, 8))
 
 
 class TestDescriptors:
@@ -87,28 +70,22 @@ class TestDescriptors:
 
     def test_order_preserved(self, rng):
         pool = random_frames(rng, 3)
-        desc, queries = random_chunk_queries(rng)
-        got = sma_scores(desc, pool)
+        queries = random_chunk_queries(rng)
+        got = sma_scores(queries, pool)
         assert got.shape == (2, 3)
         for l in range(2):
             assert np.allclose(got[l], sma_scores_loop(queries, pool, l), rtol=1e-12, atol=1e-15)
 
     def test_permutation_equivariant(self, rng):
         pool = random_frames(rng, 3)
-        desc, _ = random_chunk_queries(rng)
-        fwd = sma_scores(desc, pool)
-        rev = sma_scores(desc, pool[::-1])
+        queries = random_chunk_queries(rng)
+        fwd = sma_scores(queries, pool)
+        rev = sma_scores(queries, pool[::-1])
         assert np.array_equal(fwd, rev[:, ::-1])
 
     def test_empty_errors(self, rng):
         with pytest.raises(EmptyMemoryError):
-            sma_scores(random_chunk_queries(rng)[0], [])
-
-    def test_query_descriptor_pools_the_projection(self, rng):
-        # pooling the tokens before the linear projection equals pooling
-        # the projected queries over frames, heads and tokens
-        desc, queries = random_chunk_queries(rng)
-        assert np.allclose(desc, queries.mean(axis=(0, 2, 3)), rtol=1e-12, atol=1e-15)
+            sma_scores(random_chunk_queries(rng), [])
 
     def test_read_only(self, rng):
         (f,) = random_frames(rng, 1)
@@ -160,26 +137,26 @@ class TestRelevance:
     """SMA relevance is the inner product of the query and key descriptors."""
 
     def test_orthogonal(self):
-        scores = sma_scores(constant_query_descriptor([1.0, 0.0]), [constant_frame([0.0, 2.0])])
+        scores = sma_scores(constant_queries([1.0, 0.0]), [constant_frame([0.0, 2.0])])
         assert scores.tolist() == [[0.0], [0.0]]
 
     def test_unit(self):
         v = [1.0, 0.0]
-        assert sma_scores(constant_query_descriptor(v), [constant_frame(v)]).tolist() == [[1.0], [1.0]]
+        assert sma_scores(constant_queries(v), [constant_frame(v)]).tolist() == [[1.0], [1.0]]
 
     def test_small_case(self):
-        scores = sma_scores(constant_query_descriptor([1.0, 0.0]), [constant_frame([0.5, 2.0])])
+        scores = sma_scores(constant_queries([1.0, 0.0]), [constant_frame([0.5, 2.0])])
         assert scores.tolist() == [[0.5], [0.5]]
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            sma_scores(constant_query_descriptor([1.0, 0.0]), [constant_frame([1.0, 1.0, 1.0])])
+            sma_scores(constant_queries([1.0, 0.0]), [constant_frame([1.0, 1.0, 1.0])])
 
     def test_scale_equivariance(self, rng):
         pool = random_frames(rng, 3)
-        desc, _ = random_chunk_queries(rng)
+        queries = random_chunk_queries(rng)
         scaled = [FrameKV(f.frame_id, 3.5 * f.k, f.v) for f in pool]
-        got, want = sma_scores(desc, scaled), 3.5 * sma_scores(desc, pool)
+        got, want = sma_scores(queries, scaled), 3.5 * sma_scores(queries, pool)
         assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(got.flat, want.flat))
 
 
@@ -305,8 +282,8 @@ class TestStepChunkSma:
         bank = random_bank(rng, 5)
         chunk, w = toy_chunk(cfg)
         sma = step_from_bank(Mode.NAM_SMA, cfg, bank, chunk, w)
-        desc = query_descriptor(chunk, cfg, w)
+        queries = project_queries(chunk, cfg, w)
         for l, act in enumerate(sma.activation_sets):
-            assert act == select_top_k(sma_scores(desc, bank)[l], cfg.sma_k)
+            assert act == select_top_k(sma_scores(queries, bank)[l], cfg.sma_k)
             full = step_from_bank(Mode.NAM_FULL, cfg, [bank[j] for j in act.indices], chunk, w)
             assert np.array_equal(sma.attention_outputs[l], full.attention_outputs[l])

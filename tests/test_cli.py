@@ -230,13 +230,14 @@ def assert_one_error_line(rc, capsys, *words):
     [
         (["run", "--script", "s.json", "--bogus"], ["membank: unrecognized arguments: --bogus"]),
         (["bench", "--script", "s.json", "--grid", "g.json"], ["unrecognized arguments: --grid g.json"]),
+        (["bench", "--script", "s.json", "--noise-eps", "0.1"], ["unrecognized arguments: --noise-eps 0.1"]),
         (["run"], ["membank run:", "required: --script"]),
         (["bench"], ["membank bench:", "required: --script"]),
         (["bench", "--script", "s.json", "--repeat", "x"], ["--repeat", "invalid int value: 'x'"]),
         (["run", "--script", "s.json", "--mode", "bogus"], ["--mode", "invalid choice: 'bogus'"]),
         ([], ["required: command"]),
     ],
-    ids=["unknown_option", "grid_option", "run_without_script", "bench_without_script", "bad_int", "bad_choice",
+    ids=["unknown_option", "grid_option", "bench_noise_option", "run_without_script", "bench_without_script", "bad_int", "bad_choice",
          "no_command"],
 )
 def test_usage_error_is_one_line(capsys, argv, words):

@@ -30,7 +30,6 @@ from membank.toymodel import (
     make_topic_space,
     project_kv,
     project_queries,
-    query_descriptor,
     synth_chunk,
 )
 from membank.verify import expected_key_count, sma_full_pool_identity
@@ -82,6 +81,16 @@ def record_steps(mode, cfg, topics=(0, 0, 1, 1, 0), noise_eps=0.05):
     return w, steps
 
 
+def chunk_pool(pre_state, state):
+    """The chunk's memory pool: the sink, and the updated bank in the bank
+    modes."""
+    if state.mode is Mode.NO_MEMORY:
+        return ()
+    if state.mode is Mode.FRAME_SINK:
+        return pre_state.sink.frames
+    return pre_state.sink.frames + state.bank.frames
+
+
 def assert_matches_oracle(mode, cfg, w, steps, rows=slice(None)):
     """Every layer, head and query frame of recorded steps against the
     scalar-loop oracle at 1e-9, the intra-chunk causal prefix included.
@@ -89,12 +98,7 @@ def assert_matches_oracle(mode, cfg, w, steps, rows=slice(None)):
     T = cfg.frames_per_chunk
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for pre_state, chunk, state, res in steps:
-        if mode is Mode.NO_MEMORY:
-            pool = ()
-        elif mode is Mode.FRAME_SINK:
-            pool = pre_state.sink.frames
-        else:
-            pool = pre_state.sink.frames + state.bank.frames
+        pool = chunk_pool(pre_state, state)
         by_id = {f.frame_id: f for f in pool}
         frames = project_kv(chunk, cfg, w)
         queries = project_queries(chunk, cfg, w)
@@ -328,16 +332,6 @@ def step_script(script, cfg, mode):
         yield cfg, w, pre_state, chunk, state, res
 
 
-def chunk_pool(pre_state, state):
-    """The chunk's memory pool: the sink, and the updated bank in the bank
-    modes."""
-    if state.mode is Mode.NO_MEMORY:
-        return ()
-    if state.mode is Mode.FRAME_SINK:
-        return pre_state.sink.frames
-    return pre_state.sink.frames + state.bank.frames
-
-
 def attended_frames(pre_state, state, res):
     """Each layer's memory frames, as objects, before any fold: the pool
     as each layer's activation set selects it."""
@@ -376,6 +370,20 @@ def expected_folds(pre_state, state, res):
     return min(droppable)
 
 
+def assert_fold(cfg, w, pre_state, chunk, state, res):
+    """One step's fold facts: the outputs are `attend`'s on the whole
+    multiset within 1e-12, `attended_key_count` counts that multiset's
+    pairs, and the copies dropped, (attended - computed) / (G*T*P*P), are
+    `expected_folds`. Returns the copies dropped."""
+    want, keys = unfolded_attention(cfg, w, pre_state, chunk, attended_frames(pre_state, state, res))
+    assert all(np.max(np.abs(got - ref)) <= 1e-12 for got, ref in zip(res.attention_outputs, want))
+    assert res.attended_key_count == keys
+    per_copy = cfg.layers * cfg.heads * cfg.frames_per_chunk * cfg.tokens_per_frame**2
+    folded, rest = divmod(res.attended_key_count - res.computed_key_count, per_copy)
+    assert rest == 0 and folded == expected_folds(pre_state, state, res)
+    return folded
+
+
 # 30 chunks whose topics return, so frames leave and re-enter the bank.
 FOLD_SCRIPT = make_script(seed=17, pattern=(0, 1, 2, 0, 1, 0, 2, 2, 1, 0), chunks=3)
 
@@ -395,15 +403,12 @@ class TestFold:
         for c, (cfg, w, pre_state, chunk, state, res) in enumerate(step_script(FOLD_SCRIPT, cfg, mode)):
             selected = attended_frames(pre_state, state, res)
             assert res.selected_frame_ids == [[f.frame_id for f in chosen] for chosen in selected]
-            want, keys = unfolded_attention(cfg, w, pre_state, chunk, selected)
-            for got, ref in zip(res.attention_outputs, want):
-                assert np.max(np.abs(got - ref)) <= 1e-12
-            assert res.folded_frames == expected_folds(pre_state, state, res)
+            m = assert_fold(cfg, w, pre_state, chunk, state, res)
             window = min(c * T, cfg.local_window)
-            assert res.attended_key_count == keys == expected_key_count(cfg, len(selected[0]), window)
-            folded += res.folded_frames
+            assert res.attended_key_count == expected_key_count(cfg, len(selected[0]), window)
+            folded += m
             # `attend` ran over the memory frames left after the fold.
-            computed += expected_key_count(cfg, len(selected[0]) - res.folded_frames, window)
+            computed += expected_key_count(cfg, len(selected[0]) - m, window)
         assert c + 1 == 30
         assert (folded > 0) == (mode is not Mode.NO_MEMORY)
         metrics = compute_metrics(rollout(FOLD_SCRIPT, cfg, mode))
@@ -422,9 +427,7 @@ class TestFold:
         selected = attended_frames(pre_state, state, res)
         by_id = [Counter(f.frame_id for f in pre_state.local_window + chosen) for chosen in selected]
         id_repeats = sum(max(0, min(c[i] for c in by_id) - 1) for i in by_id[0])
-        assert res.folded_frames == expected_folds(pre_state, state, res) < id_repeats
-        want, _ = unfolded_attention(CFG, w, pre_state, chunk, selected)
-        assert all(np.max(np.abs(got - ref)) <= 1e-12 for got, ref in zip(res.attention_outputs, want))
+        assert assert_fold(CFG, w, pre_state, chunk, state, res) < id_repeats
 
     @staticmethod
     def steered_sma_step(sink, bank, window):
@@ -434,14 +437,13 @@ class TestFold:
         and a repeated id is the same frame object; `window` names frames
         of the pool by id, plus any new ids. A frame's keys are its score
         times the chunk's unit query descriptor, so SMA ranks the pool by
-        the scores given. Returns the ids each layer selected, the folds,
-        and `expected_folds`; checks the outputs against the unfolded
-        multiset and the key count against `attend` on it."""
+        the scores given. Checks the step's fold (`assert_fold`) and
+        returns the ids each layer selected and the copies dropped."""
         space = make_topic_space(2, CFG, 0.05)
         w = init_weights(CFG)
         prompt = encode_prompt("prompt about topic 0", 0, CFG, space, w)
         chunk = synth_chunk(0, 7, CFG, space)
-        desc = query_descriptor(chunk, CFG, w)
+        desc = project_queries(chunk, CFG, w).sum(axis=(0, 2, 3))
         unit = desc / np.linalg.norm(desc, axis=1, keepdims=True)
         rng = np.random.default_rng(11)
         shape = (CFG.layers, CFG.heads, CFG.tokens_per_frame, CFG.head_dim)
@@ -461,36 +463,32 @@ class TestFold:
             mode=Mode.NAM_SMA,
         )
         state, res = step_chunk(pre_state, prompt, chunk, CFG, w)
-        selected = attended_frames(pre_state, state, res)
-        want, keys = unfolded_attention(CFG, w, pre_state, chunk, selected)
-        assert all(np.max(np.abs(got - ref)) <= 1e-12 for got, ref in zip(res.attention_outputs, want))
-        assert res.attended_key_count == keys
-        return res.selected_frame_ids, res.folded_frames, expected_folds(pre_state, state, res)
+        return res.selected_frame_ids, assert_fold(CFG, w, pre_state, chunk, state, res)
 
     def test_layers_drop_their_own_window_repeats(self):
         # Layer 0 selects A and B, both in the window; layer 1 selects B
         # and C, and only B is. Layer 0 drops A and layer 1 drops B: one
         # copy each, the fewer of the two layers' repeats.
-        ids, folded, expected = self.steered_sma_step(
+        ids, folded = self.steered_sma_step(
             sink=(), bank=((10, (3, 1)), (11, (2, 2)), (12, (1, 3))), window=(5, 10, 11)
         )
         assert ids == [[10, 11], [11, 12]]
-        assert folded == expected == 1
+        assert folded == 1
 
     def test_one_layer_repeating_folds_nothing(self):
-        ids, folded, expected = self.steered_sma_step(
+        ids, folded = self.steered_sma_step(
             sink=(), bank=((10, (3, 1)), (11, (2, 3)), (12, (1, 2))), window=(5, 10)
         )
         assert ids == [[10, 11], [11, 12]]
-        assert folded == expected == 0
+        assert folded == 0
 
     def test_frame_zero_selected_from_sink_and_bank(self):
         # Frame 0's two pool copies tie exactly and top both layers.
-        ids, folded, expected = self.steered_sma_step(
+        ids, folded = self.steered_sma_step(
             sink=((0, (3, 3)), (1, (1, 2)), (2, (2, 1))), bank=((0, (3, 3)), (4, (0, 0))), window=(9,)
         )
         assert ids == [[0, 0], [0, 0]]
-        assert folded == expected == 1
+        assert folded == 1
 
 
 def digests(steps):
@@ -580,11 +578,7 @@ class TestRandomConfigs:
             assert_matches_oracle(mode, cfg, w, steps)
             for pre_state, chunk, state, res in steps:
                 assert len(state.bank) <= cfg.bank_capacity
-                selected = attended_frames(pre_state, state, res)
-                assert res.folded_frames == expected_folds(pre_state, state, res)
-                want, keys = unfolded_attention(cfg, w, pre_state, chunk, selected)
-                assert res.attended_key_count == keys
-                assert all(np.max(np.abs(got - ref)) <= 1e-12 for got, ref in zip(res.attention_outputs, want))
+                assert_fold(cfg, w, pre_state, chunk, state, res)
                 assert [f.frame_id for f in state.sink.frames] == list(range(T))
             # One saved state stepped twice gives the recorded chunk both times.
             pre_state, chunk, _, res = steps[2]
