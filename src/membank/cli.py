@@ -12,7 +12,8 @@ Commands:
 
 Exit codes: 0 success, 1 validation failure (a usage error included),
 2 verify/acceptance failure.
-The seed comes from the script; the --seed flag overrides it.
+A run is fixed by its script, which holds the seed, and its --config;
+chunks are synthesised at engine.NOISE_EPS.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import json
 import sys
 from pathlib import Path
 
-from .engine import NOISE_EPS, Mode, rollout
+from .engine import Mode, rollout
 from .errors import ConfigError, MembankError
 from .metrics import bench_modes, compute_metrics, metrics_to_dict
-from .script import NarrativeScript, is_int, parse_script, read_json
+from .script import is_int, parse_script, read_json
 from .toymodel import ModelConfig
 from .verify import run_all_checks
 
@@ -40,7 +41,7 @@ def load_config(path) -> ModelConfig:
     try:
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
-        # The seed is the script's (or --seed's), never the config file's.
+        # The seed is the script's, never the config file's.
         known = {f.name for f in dataclasses.fields(ModelConfig)} - {"seed"}
         unknown = set(doc) - known
         if unknown:
@@ -51,12 +52,6 @@ def load_config(path) -> ModelConfig:
         return ModelConfig(**doc)
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e
-
-
-def _load_script(args) -> NarrativeScript:
-    """The --script file, with its seed overridden by --seed."""
-    script = parse_script(args.script)
-    return script if args.seed is None else dataclasses.replace(script, seed=args.seed)
 
 
 def _report(doc: dict, out):
@@ -70,11 +65,11 @@ def _report(doc: dict, out):
 
 
 def cmd_run(args) -> int:
-    script = _load_script(args)
+    script = parse_script(args.script)
     cfg = load_config(args.config)
     mode = MODE_NAMES[args.mode]
-    run = rollout(script, cfg, mode, noise_eps=args.noise_eps)
-    full = rollout(script, cfg, Mode.NAM_FULL, noise_eps=args.noise_eps) if mode is Mode.NAM_SMA else None
+    run = rollout(script, cfg, mode)
+    full = rollout(script, cfg, Mode.NAM_FULL) if mode is Mode.NAM_SMA else None
     m = compute_metrics(run, full)
     _report({"mode": mode.value, "seed": script.seed, "chunks": len(run.results), **metrics_to_dict(m)}, args.out)
     return 0
@@ -86,7 +81,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = load_config(args.config)
-    _report(bench_modes(_load_script(args), cfg, repeats=args.repeat), args.out)
+    _report(bench_modes(parse_script(args.script), cfg, repeats=args.repeat), args.out)
     return 0
 
 
@@ -103,16 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="membank", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="JSON model config file")
-        sp.add_argument("--seed", type=int, help="override script seed")
-
     sp = sub.add_parser("run", help="run one rollout and report metrics")
     sp.add_argument("--script", required=True)
     sp.add_argument("--mode", choices=sorted(MODE_NAMES), default=Mode.NAM_SMA.value)
     sp.add_argument("--out")
-    sp.add_argument("--noise-eps", type=float, default=NOISE_EPS, dest="noise_eps")
-    common(sp)
+    sp.add_argument("--config", help="JSON model config file")
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("verify", help="run the acceptance criteria that do not depend on timing")
@@ -122,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--script", required=True)
     sp.add_argument("--out")
     sp.add_argument("--repeat", type=int, default=3)
-    common(sp)
+    sp.add_argument("--config", help="JSON model config file")
     sp.set_defaults(fn=cmd_bench)
     return p
 

@@ -64,8 +64,8 @@ LOGIT_BLOCK_BYTES = 512 * 1024
 # the README's "Attention" note.
 UNSHIFTED_LOGIT_BOUND = 64.0
 
-# Default token noise of the topic space a rollout synthesises its chunks
-# from (`toymodel.make_topic_space`); `membank run --noise-eps`'s default.
+# Token noise of the topic space a rollout synthesises its chunks from
+# (`toymodel.make_topic_space`): `rollout`'s default, and every CLI run's.
 NOISE_EPS = 0.05
 
 
@@ -140,7 +140,9 @@ class RolloutRun:
     cfg: ModelConfig
     script: NarrativeScript
     results: list[ChunkResult]
-    elapsed_seconds: float  # rollout's loop time; nothing in membank reads it
+    # Nothing in membank sets or reads this; only perfbench/run.py, which
+    # builds RolloutRun from five positional arguments, still passes it.
+    elapsed_seconds: float = 0.0
 
 
 def initial_state(cfg: ModelConfig, mode: Mode) -> RolloutState:
@@ -446,9 +448,7 @@ def rollout(
     cfg, weights, inputs = script_inputs(script, cfg, noise_eps)
     state = initial_state(cfg, mode)
     results: list[ChunkResult] = []
-    started = time.perf_counter()
     for prompt, chunk, _ in inputs:
         state, res = step_chunk(state, prompt, chunk, cfg, weights)
         results.append(res)
-    elapsed = time.perf_counter() - started
-    return RolloutRun(mode=mode, cfg=cfg, script=script, results=results, elapsed_seconds=elapsed)
+    return RolloutRun(mode=mode, cfg=cfg, script=script, results=results)

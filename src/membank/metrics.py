@@ -126,7 +126,7 @@ def compute_metrics(run: RolloutRun, full_run: Optional[RolloutRun] = None) -> R
 class ModeTimes:
     """One mode in `time_modes`: the untimed pass's results, and what every timed pass measured."""
 
-    run: RolloutRun  # elapsed_seconds 0.0: chunks/s comes from step_seconds, in bench_modes
+    run: RolloutRun  # chunks/s comes from step_seconds, in bench_modes
     step_seconds: list[float]  # per timed pass
     wall_times: list[dict[str, float]]  # per chunk of every timed pass
     minor_faults: list[int]  # per timed pass
@@ -147,7 +147,7 @@ def time_modes(script: NarrativeScript, cfg: ModelConfig, *, repeats: int) -> di
     cfg, weights, inputs = script_inputs(script, cfg)
     inputs = list(inputs)
     modes = list(Mode)
-    times = {mode: ModeTimes(RolloutRun(mode, cfg, script, [], 0.0), [], [], []) for mode in modes}
+    times = {mode: ModeTimes(RolloutRun(mode, cfg, script, []), [], [], []) for mode in modes}
     for timed in range(-1, repeats):  # -1 is the untimed pass
         states = {mode: initial_state(cfg, mode) for mode in modes}
         seconds = dict.fromkeys(modes, 0.0)

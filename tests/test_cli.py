@@ -31,6 +31,7 @@ def test_run_writes_json(script_path, tmp_path, capsys):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["mode"] == "nam_sma"
+    assert doc["seed"] == SCRIPT["seed"]
     assert doc["chunks"] == 6
     assert len(doc["determinism_hash"]) == 16
 
@@ -52,7 +53,7 @@ def test_run_reports_no_throughput(script_path, capsys):
 
 def test_run_missing_script_is_validation_failure(tmp_path, capsys):
     rc = main(["run", "--script", str(tmp_path / "nope.json")])
-    assert rc == 1
+    assert_one_error_line(rc, capsys, "nope.json")
 
 
 def test_run_malformed_script(tmp_path, capsys):
@@ -60,20 +61,6 @@ def test_run_malformed_script(tmp_path, capsys):
     p.write_text("not json", encoding="utf-8")
     assert main(["run", "--script", str(p)]) == 1
     assert "error:" in capsys.readouterr().err
-
-
-def test_seed_flag_overrides_script_seed(script_path, tmp_path):
-    out_a = tmp_path / "a.json"
-    out_b = tmp_path / "b.json"
-    out_c = tmp_path / "c.json"
-    main(["run", "--script", script_path, "--seed", "123", "--out", str(out_a)])
-    main(["run", "--script", script_path, "--seed", "6", "--out", str(out_b)])
-    main(["run", "--script", script_path, "--out", str(out_c)])
-    a, b, c = (json.loads(p.read_text()) for p in (out_a, out_b, out_c))
-    assert a["seed"] == 123
-    assert b["seed"] == 6 == c["seed"]
-    assert b["determinism_hash"] == c["determinism_hash"]
-    assert a["determinism_hash"] != c["determinism_hash"]
 
 
 def test_bench_out_writes_the_printed_text(script_path, tmp_path, capsys, monkeypatch):
@@ -231,14 +218,17 @@ def assert_one_error_line(rc, capsys, *words):
         (["run", "--script", "s.json", "--bogus"], ["membank: unrecognized arguments: --bogus"]),
         (["bench", "--script", "s.json", "--grid", "g.json"], ["unrecognized arguments: --grid g.json"]),
         (["bench", "--script", "s.json", "--noise-eps", "0.1"], ["unrecognized arguments: --noise-eps 0.1"]),
+        (["run", "--script", "s.json", "--noise-eps", "0.1"], ["unrecognized arguments: --noise-eps 0.1"]),
+        (["run", "--script", "s.json", "--seed", "3"], ["unrecognized arguments: --seed 3"]),
+        (["bench", "--script", "s.json", "--seed", "3"], ["unrecognized arguments: --seed 3"]),
         (["run"], ["membank run:", "required: --script"]),
         (["bench"], ["membank bench:", "required: --script"]),
         (["bench", "--script", "s.json", "--repeat", "x"], ["--repeat", "invalid int value: 'x'"]),
         (["run", "--script", "s.json", "--mode", "bogus"], ["--mode", "invalid choice: 'bogus'"]),
         ([], ["required: command"]),
     ],
-    ids=["unknown_option", "grid_option", "bench_noise_option", "run_without_script", "bench_without_script", "bad_int", "bad_choice",
-         "no_command"],
+    ids=["unknown_option", "grid_option", "bench_noise_option", "run_noise_option", "run_seed_option", "bench_seed_option",
+         "run_without_script", "bench_without_script", "bad_int", "bad_choice", "no_command"],
 )
 def test_usage_error_is_one_line(capsys, argv, words):
     # A usage error is a validation failure (exit 1), not a verify failure (exit 2).
@@ -277,6 +267,23 @@ def test_script_boolean_is_not_an_integer(tmp_path, capsys, field):
     assert_one_error_line(main(["run", "--script", str(path)]), capsys, field)
 
 
+@pytest.mark.parametrize(
+    "doc, words",
+    [
+        ([SCRIPT], ["script root must be a JSON object"]),
+        ({"segments": SCRIPT["segments"]}, ["missing required field 'seed'"]),
+        ({"seed": 6, "segments": [SCRIPT["segments"][0], "a desert road"]}, ["segment 1 must be an object"]),
+        ({"seed": 6, "segments": [{**SCRIPT["segments"][0], "topic": -1}]}, ["segment 0: topic must be >= 0"]),
+        ({"seed": 6, "segments": [{**SCRIPT["segments"][0], "prompt_text": " \t"}]}, ["segment 0: prompt_text is empty"]),
+    ],
+    ids=["root_not_object", "missing_seed", "segment_not_object", "negative_topic", "blank_prompt"],
+)
+def test_script_schema_error_names_the_file(tmp_path, capsys, doc, words):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert_one_error_line(main(["run", "--script", str(path)]), capsys, f"{path}: ", *words)
+
+
 @pytest.mark.parametrize("where", ["script", "segment"])
 def test_script_unknown_field_rejected(tmp_path, capsys, where):
     doc = json.loads(json.dumps(SCRIPT))
@@ -285,13 +292,6 @@ def test_script_unknown_field_rejected(tmp_path, capsys, where):
     path.write_text(json.dumps(doc), encoding="utf-8")
     rc = main(["run", "--script", str(path)])
     assert_one_error_line(rc, capsys, f"{path}: ", "unknown", where, "extra")
-
-
-@pytest.mark.filterwarnings("error")
-def test_overflowing_logits_rejected(script_path, capsys):
-    # Token noise of 1e306 keeps K and V finite but not the logits' bound.
-    rc = main(["run", "--script", script_path, "--mode", "no_memory", "--noise-eps", "1e306"])
-    assert_one_error_line(rc, capsys, "logit bound")
 
 
 def test_run_script_directory_rejected(tmp_path, capsys):

@@ -714,6 +714,18 @@ class TestRollout:
         with pytest.raises(ScriptError):
             NarrativeScript(seed=0, segments=())
 
+    def test_chunk_past_the_end_has_no_topic(self):
+        script = make_script(pattern=(0, 1), chunks=2)
+        assert [script.topic_of_chunk(c) for c in range(4)] == [0, 0, 1, 1]
+        with pytest.raises(ScriptError, match="chunk 4 beyond script length 4"):
+            script.topic_of_chunk(4)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_logits_rejected(self):
+        # Token noise of 1e306 keeps K and V finite but not the logits' bound.
+        with pytest.raises(ShapeError, match="logit bound"):
+            rollout(make_script(), CFG, Mode.NO_MEMORY, noise_eps=1e306)
+
 
 class TestFullMemoryOracle:
     def test_matches_engine_sma_full_k(self):

@@ -139,6 +139,13 @@ def test_non_finite_kv_rejected(rng, bad, field):
         FrameKV(frame_id=0, **arrays)
 
 
+@pytest.mark.parametrize("shapes", [((2, 4, 8), (2, 4, 8)), ((2, 2, 4, 8), (1, 2, 2, 4, 8))], ids=["both_3d", "v_5d"])
+def test_kv_not_4d_rejected(rng, shapes):
+    k, v = (rng.standard_normal(shape) for shape in shapes)
+    with pytest.raises(ShapeError, match=r"must be \[L, H, P, d\]"):
+        FrameKV(frame_id=0, k=k, v=v)
+
+
 def test_key_bound_is_max_abs_key(rng):
     space = make_topic_space(2, CFG, 0.05)
     projected = project_kv(synth_chunk(0, 0, CFG, space), CFG, init_weights(CFG))

@@ -80,6 +80,10 @@ class TestRelevanceScores:
         with pytest.raises(ShapeError):
             TextQuery(q)
 
+    def test_query_not_lhd_rejected(self):
+        with pytest.raises(ShapeError, match=r"must be \[L, H, d\]"):
+            TextQuery(np.zeros((L, H)))
+
     def test_empty_bank_errors(self, rng):
         with pytest.raises(EmptyMemoryError):
             text_relevance_scores(make_query(rng), MemoryBank(3))

@@ -4,6 +4,7 @@ import pytest
 from membank.errors import ConfigError, ShapeError
 from membank.toymodel import (
     ModelConfig,
+    TopicSpace,
     Weights,
     encode_prompt,
     init_weights,
@@ -38,6 +39,9 @@ def test_topic_space_limits():
     for eps in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="noise_eps"):
             make_topic_space(2, CFG, eps)
+    centroids = np.array([[1.0, 0.0], [0.6, 0.8]])
+    with pytest.raises(ConfigError, match="near-orthogonal"):
+        TopicSpace(centroids, np.tile(centroids, (1, 2)), 0.1)
 
 
 def weight_arrays(cfg):
