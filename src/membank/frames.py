@@ -1,10 +1,10 @@
 """Frame-level KV storage: single frames and the capacity-bounded bank.
 
-A frame holds its key/value projections for every (layer, head) as two
-read-only [L, H, P, d] views of its chunk's K/V stacks (`_own_kv`), so a
-frame kept in a bank keeps its chunk's stacks alive. Banks are immutable
-snapshots; updates return new banks. The rollout's frame sink is a bank
-too, sized to one chunk and filled once.
+`frames_from_kv` is the only way to build frames: it copies a chunk's
+stacked K/V once, and each frame holds two read-only [L, H, P, d] views
+of those copies, so a frame kept in a bank keeps its chunk's stacks
+alive. Banks are immutable snapshots; updates return new banks. The
+rollout's frame sink is a bank too, sized to one chunk and filled once.
 """
 
 from __future__ import annotations
@@ -21,30 +21,23 @@ from .errors import CapacityError, ConfigError, ShapeError
 __all__ = ["FrameKV", "MemoryBank", "frames_from_kv"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FrameKV:
     """KV cache of a single latent frame across all layers and heads.
 
-    k and v are finite float64 arrays of shape [L, H, P, d]; P is tokens
-    per frame. `key_bound` is max |k| over the whole frame, computed once
-    when the frame is built: the attention kernel bounds its logits by
-    it, and it is also the check that k is finite, since NaN and inf
-    propagate through the max. `_own_kv` states the copying, the checks
-    and the bound once, for this constructor and for `frames_from_kv`.
+    Built only by `frames_from_kv`; the class has no constructor, so
+    `FrameKV(...)` raises TypeError. k and v are finite, read-only float64
+    arrays of shape [L, H, P, d]; P is tokens per frame. `key_bound` is
+    max |k| over the whole frame: the attention kernel bounds its logits
+    by it.
     """
 
     frame_id: int
     k: np.ndarray
     v: np.ndarray
-    key_bound: float = field(init=False, repr=False, compare=False)
+    key_bound: float = field(repr=False, compare=False)
     # relevance_lse's one-slot memo: (query, its [L * H] statistics).
-    _lse_memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        k, v, (key_bound,) = _own_kv(self.k[None], self.v[None])
-        object.__setattr__(self, "k", k[0])
-        object.__setattr__(self, "v", v[0])
-        object.__setattr__(self, "key_bound", key_bound)
+    _lse_memo: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def key_descriptor(self) -> np.ndarray:
@@ -80,21 +73,19 @@ class FrameKV:
         return lse
 
 
-def _own_kv(k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """The one rule for the arrays frames hold, applied to n frames
-    stacked on a leading axis: k and v are [n, L, H, P, d].
+def frames_from_kv(first_id: int, k: np.ndarray, v: np.ndarray) -> list[FrameKV]:
+    """Frames first_id, first_id + 1, ... from K/V stacked [n, L, H, P, d].
 
     Copies each stack once, C-contiguous and read-only; frame i's arrays
-    are the views k[i] and v[i]. Returns the two copies and each frame's
-    key bound max|k| as a float. The copies keep the frames' descriptor
+    are the views k[i] and v[i]. The copies keep the frames' descriptor
     and relevance memos from going stale and leave the caller's arrays as
-    the caller left them. One abs-max reduction gives every bound and is
-    also the check that K is finite, since NaN and inf propagate through
-    the max; one `isfinite` covers V. Raises ShapeError on a bad shape or
-    a non-finite entry.
+    the caller left them. One abs-max reduction gives every frame's key
+    bound and is also the check that K is finite, since NaN and inf
+    propagate through the max; one `isfinite` covers V. Raises ShapeError
+    on a bad shape or a non-finite entry.
     """
     if k.ndim != 5 or v.ndim != 5:
-        raise ShapeError("frame k/v must be [L, H, P, d] arrays")
+        raise ShapeError("frame k/v must be [n, L, H, P, d] stacks")
     if k.shape != v.shape:
         raise ShapeError(f"k shape {k.shape[1:]} != v shape {v.shape[1:]}")
     if k.shape[3] == 0:
@@ -105,18 +96,8 @@ def _own_kv(k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[
         raise ShapeError("frame k/v contain non-finite entries")
     k.setflags(write=False)
     v.setflags(write=False)
-    return k, v, bounds
-
-
-def frames_from_kv(first_id: int, k: np.ndarray, v: np.ndarray) -> list[FrameKV]:
-    """Frames first_id, first_id + 1, ... from K/V stacked [n, L, H, P, d],
-    copied, checked and bounded once for the whole stack by `_own_kv`,
-    the rule `FrameKV` applies to a single frame."""
-    k, v, bounds = _own_kv(k, v)
     frames = []
     for i, bound in enumerate(bounds):
-        # The stack passed FrameKV's checks as a whole, so each frame is
-        # built without running them again per frame.
         frame = object.__new__(FrameKV)
         frame.__dict__.update(frame_id=first_id + i, k=k[i], v=v[i], key_bound=bound, _lse_memo=None)
         frames.append(frame)

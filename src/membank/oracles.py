@@ -11,7 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .frames import FrameKV
+from .frames import frames_from_kv
 
 
 def relevance_scores_loop(query, bank):
@@ -61,14 +61,7 @@ def best_subset(scores, k):
 
 
 def random_frames(rng, count, layers=2, heads=2, tokens=4, dim=8, start_id=0):
-    """count frames of standard-normal K/V with consecutive frame ids."""
-    out = []
-    for i in range(count):
-        out.append(
-            FrameKV(
-                frame_id=start_id + i,
-                k=rng.standard_normal((layers, heads, tokens, dim)),
-                v=rng.standard_normal((layers, heads, tokens, dim)),
-            )
-        )
-    return out
+    """count frames of standard-normal K/V with consecutive frame ids,
+    drawn k then v frame by frame and built as one stack."""
+    kv = rng.standard_normal((count, 2, layers, heads, tokens, dim))
+    return frames_from_kv(start_id, kv[:, 0], kv[:, 1])

@@ -87,14 +87,18 @@ class TopicSpace:
     noise_eps: float
 
     def __post_init__(self):
+        # Read-only copies: synthesis reads these arrays for the whole
+        # rollout, and the caller's own arrays stay writable.
+        for name in ("centroids", "embeddings"):
+            a = getattr(self, name).copy()
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         if not 0 <= self.noise_eps < np.inf:
             raise ConfigError(f"noise_eps must be finite and >= 0, got {self.noise_eps}")
         g = self.centroids @ self.centroids.T
         off = g - np.diag(np.diag(g))
         if np.abs(off).max(initial=0.0) > 0.1:
             raise ConfigError("topic centroids must be near-orthogonal")
-        self.centroids.setflags(write=False)
-        self.embeddings.setflags(write=False)
 
     @property
     def num_topics(self) -> int:
@@ -148,10 +152,7 @@ def make_topic_space(num_topics: int, cfg: ModelConfig, noise_eps: float) -> Top
         )
     rng = _rng(cfg.seed, "topics")
     q, _ = np.linalg.qr(rng.standard_normal((cfg.head_dim, num_topics)))
-    centroids = np.ascontiguousarray(q.T)
-    return TopicSpace(
-        centroids=centroids, embeddings=np.tile(centroids, cfg.heads), noise_eps=noise_eps
-    )
+    return TopicSpace(centroids=q.T, embeddings=np.tile(q.T, cfg.heads), noise_eps=noise_eps)
 
 
 def init_weights(cfg: ModelConfig) -> Weights:
@@ -209,11 +210,12 @@ def synth_chunk(
 def project_kv(chunk: ChunkTokens, cfg: ModelConfig, weights: Weights) -> list[FrameKV]:
     """Per-frame K/V projections of a chunk's tokens, ids consecutive.
 
-    One matmul per weight projects the whole chunk, and `frames_from_kv`
-    copies, checks and bounds the chunk's K/V once: finite tokens can
-    still overflow K or V, which raises ShapeError. The frames hold
-    read-only views of that one copy of K and one of V, so a frame kept
-    in the bank or the sink keeps the chunk's K/V alive.
+    One matmul per weight projects the whole chunk, and `frames_from_kv`,
+    the one frame constructor, copies, checks and bounds the chunk's K/V
+    once: finite tokens can still overflow K or V, which raises
+    ShapeError. The frames hold read-only views of that one copy of K and
+    one of V, so a frame kept in the bank or the sink keeps the chunk's
+    K/V alive.
     """
     if chunk.frames.shape != (cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.model_dim):
         raise ShapeError(f"chunk token shape {chunk.frames.shape} does not match config")

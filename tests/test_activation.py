@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from membank.activation import select_top_k, sma_scores
 from membank.engine import Mode, initial_state, step_chunk
 from membank.errors import ConfigError, EmptyMemoryError, ShapeError
-from membank.frames import FrameKV, MemoryBank
+from membank.frames import MemoryBank
 from membank.oracles import best_subset, random_frames
 from membank.retrieval import TextQuery
 from membank.toymodel import (
@@ -26,17 +26,13 @@ from membank.toymodel import (
     synth_chunk,
 )
 
+from hand_frames import hand_frame
 from loop_oracles import sma_scores_loop
-
-
-def frame(k, frame_id=0):
-    k = np.asarray(k, dtype=np.float64)
-    return FrameKV(frame_id, k=k, v=np.zeros_like(k))
 
 
 def constant_frame(row, shape=(2, 2, 3)):
     """A frame whose keys equal row at every (layer, head, token)."""
-    return frame(np.broadcast_to(row, shape + (len(row),)))
+    return hand_frame(0, np.broadcast_to(row, shape + (len(row),)))
 
 
 def constant_queries(row, shape=(2, 2, 2, 3)):
@@ -57,16 +53,16 @@ class TestDescriptors:
 
     def test_single_token(self):
         # one token per head: the descriptor is the mean over heads
-        f = frame([[[[1.0, 2.0]], [[3.0, 4.0]]]])
+        f = hand_frame(0, [[[[1.0, 2.0]], [[3.0, 4.0]]]])
         assert f.key_descriptor.tolist() == [[2.0, 3.0]]
 
     def test_small_case(self):
         k = [[[[2, 0], [0, 2]]], [[[1, 3], [5, 7]]]]  # [L=2, H=1, P=2, d=2]
-        assert frame(k).key_descriptor.tolist() == [[1.0, 1.0], [3.0, 5.0]]
+        assert hand_frame(0, k).key_descriptor.tolist() == [[1.0, 1.0], [3.0, 5.0]]
 
     def test_frame_descriptor_constant_keys(self):
         k = np.broadcast_to(np.arange(8.0), (2, 2, 4, 8)).copy()
-        assert frame(k).key_descriptor[1].tolist() == list(range(8))
+        assert hand_frame(0, k).key_descriptor[1].tolist() == list(range(8))
 
     def test_order_preserved(self, rng):
         pool = random_frames(rng, 3)
@@ -107,7 +103,7 @@ finite_matrices = arrays(
 def pooled(rows):
     """Key descriptor of a one-layer, one-head frame with these token rows."""
     k = np.asarray(rows, dtype=np.float64)[None, None]
-    return frame(k).key_descriptor[0]
+    return hand_frame(0, k).key_descriptor[0]
 
 
 class TestMeanPoolRows:
@@ -155,7 +151,7 @@ class TestRelevance:
     def test_scale_equivariance(self, rng):
         pool = random_frames(rng, 3)
         queries = random_chunk_queries(rng)
-        scaled = [FrameKV(f.frame_id, 3.5 * f.k, f.v) for f in pool]
+        scaled = [hand_frame(f.frame_id, 3.5 * f.k, f.v) for f in pool]
         got, want = sma_scores(queries, scaled), 3.5 * sma_scores(queries, pool)
         assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(got.flat, want.flat))
 
@@ -269,7 +265,7 @@ class TestStepChunkSma:
     def test_descriptor_scaling_keeps_selection(self, rng):
         cfg = replace(CFG, sma_k=2)
         bank = random_bank(rng, 4)
-        scaled = [FrameKV(f.frame_id, 2.0 * f.k, f.v) for f in bank]
+        scaled = [hand_frame(f.frame_id, 2.0 * f.k, f.v) for f in bank]
         chunk, w = toy_chunk(cfg)
         a = step_from_bank(Mode.NAM_SMA, cfg, bank, chunk, w)
         b = step_from_bank(Mode.NAM_SMA, cfg, scaled, chunk, w)

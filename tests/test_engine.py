@@ -19,7 +19,7 @@ from membank.engine import (
     step_chunk,
 )
 from membank.errors import ScriptError, ShapeError
-from membank.frames import FrameKV, MemoryBank
+from membank.frames import MemoryBank
 from membank.metrics import chunk_digest, compute_metrics, determinism_hash
 from membank.oracles import random_frames
 from membank.script import NarrativeScript, Segment, parse_script
@@ -34,6 +34,7 @@ from membank.toymodel import (
 )
 from membank.verify import expected_key_count, sma_full_pool_identity
 
+from hand_frames import hand_frame
 from loop_oracles import full_memory_attention_oracle, sdp_attention_loop, sma_scores_loop
 
 CFG = ModelConfig(seed=3)
@@ -150,7 +151,7 @@ class TestEngineAgainstOracle:
         assert quiet.attention_plan.shifted is False
 
         def loud(bank):
-            return replace(bank, frames=tuple(FrameKV(f.frame_id, 1e4 * f.k, f.v) for f in bank.frames))
+            return replace(bank, frames=tuple(hand_frame(f.frame_id, 1e4 * f.k, f.v) for f in bank.frames))
 
         pre_state = replace(pre_state, sink=loud(pre_state.sink), bank=loud(pre_state.bank))
         space = make_topic_space(2, CFG, 0.05)
@@ -419,7 +420,7 @@ class TestFold:
         # copy: it keeps its own columns and weight.
         w, steps = record_steps(Mode.NAM_FULL, CFG, topics=(0, 0, 1))
         pre_state, chunk, _, _ = steps[-1]
-        twins = tuple(FrameKV(f.frame_id, 2.0 * f.k, f.v) for f in pre_state.bank.frames)
+        twins = tuple(hand_frame(f.frame_id, 2.0 * f.k, f.v) for f in pre_state.bank.frames)
         pre_state = replace(pre_state, bank=replace(pre_state.bank, frames=twins))
         assert {f.frame_id for f in twins} & {f.frame_id for f in pre_state.local_window}
         prompt = encode_prompt("prompt about topic 1", 1, CFG, make_topic_space(2, CFG, 0.05), w)
@@ -452,7 +453,7 @@ class TestFold:
         def frame(fid, scores=(0.0, 0.0)):
             if fid not in frames:
                 k = np.broadcast_to((np.array(scores)[:, None] * unit)[:, None, None], shape)
-                frames[fid] = FrameKV(fid, k.copy(), rng.standard_normal(shape))
+                frames[fid] = hand_frame(fid, k, rng.standard_normal(shape))
             return frames[fid]
 
         pre_state = RolloutState(

@@ -1,5 +1,5 @@
 import copy
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -121,10 +121,11 @@ def test_frame_arrays_read_only(rng):
 
 
 def test_frame_and_query_copy_the_callers_arrays(rng):
-    k, v, q = rng.standard_normal((2, 2, 4, 8)), rng.standard_normal((2, 2, 4, 8)), rng.standard_normal((2, 2, 8))
+    k, v = rng.standard_normal((2, 3, 2, 2, 4, 8))
+    q = rng.standard_normal((2, 2, 8))
     before = [a.copy() for a in (k, v, q)]
-    f, query = FrameKV(0, k, v), TextQuery(q)
-    for passed, kept, was in zip((k, v, q), (f.k, f.v, query.q), before):
+    frames, query = frames_from_kv(0, k, v), TextQuery(q)
+    for passed, kept, was in zip((k, v, q), (frames[0].k.base, frames[0].v.base, query.q), before):
         assert passed.flags.writeable and np.array_equal(passed, was)
         assert kept is not passed and not np.shares_memory(kept, passed)
         assert not kept.flags.writeable and np.array_equal(kept, was)
@@ -133,17 +134,28 @@ def test_frame_and_query_copy_the_callers_arrays(rng):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("field", ["k", "v"])
 def test_non_finite_kv_rejected(rng, bad, field):
-    arrays = {"k": rng.standard_normal((2, 2, 4, 8)), "v": rng.standard_normal((2, 2, 4, 8))}
-    arrays[field][1, 0, 2, 3] = bad
+    # One bad entry in the second frame of a stack rejects the stack.
+    arrays = dict(zip("kv", rng.standard_normal((2, 3, 2, 2, 4, 8))))
+    arrays[field][1, 1, 0, 2, 3] = bad
     with pytest.raises(ShapeError, match="non-finite"):
-        FrameKV(frame_id=0, **arrays)
+        frames_from_kv(0, **arrays)
 
 
-@pytest.mark.parametrize("shapes", [((2, 4, 8), (2, 4, 8)), ((2, 2, 4, 8), (1, 2, 2, 4, 8))], ids=["both_3d", "v_5d"])
-def test_kv_not_4d_rejected(rng, shapes):
+@pytest.mark.parametrize(
+    "shapes, message",
+    [
+        (((2, 4, 8), (2, 4, 8)), r"must be \[n, L, H, P, d\]"),
+        (((2, 2, 4, 8), (1, 2, 2, 4, 8)), r"must be \[n, L, H, P, d\]"),
+        (((2, 2, 4, 8), (2, 2, 4, 8)), r"must be \[n, L, H, P, d\]"),
+        (((3, 2, 2, 4, 8), (3, 2, 2, 4, 1)), r"k shape \(2, 2, 4, 8\) != v shape \(2, 2, 4, 1\)"),
+        (((3, 2, 2, 0, 8), (3, 2, 2, 0, 8)), "at least one token"),
+    ],
+    ids=["both_3d", "v_5d", "one_unstacked_frame", "k_v_differ", "no_tokens"],
+)
+def test_kv_not_4d_rejected(rng, shapes, message):
     k, v = (rng.standard_normal(shape) for shape in shapes)
-    with pytest.raises(ShapeError, match=r"must be \[L, H, P, d\]"):
-        FrameKV(frame_id=0, k=k, v=v)
+    with pytest.raises(ShapeError, match=message):
+        frames_from_kv(0, k, v)
 
 
 def test_key_bound_is_max_abs_key(rng):
@@ -154,9 +166,20 @@ def test_key_bound_is_max_abs_key(rng):
         assert isinstance(f.key_bound, float)
 
 
+def test_built_frames_set_every_field(rng):
+    # frames_from_kv sets FrameKV's fields by hand, so a field added to the
+    # class and not set there would show here, on the engine's frames and
+    # on the oracles' alike.
+    space = make_topic_space(2, CFG, 0.05)
+    projected = project_kv(synth_chunk(0, 0, CFG, space), CFG, init_weights(CFG))
+    names = {f.name for f in fields(FrameKV)}
+    for f in projected + random_frames(rng, 3):
+        assert vars(f).keys() == names
+
+
 def test_stacked_frames_match_single_frames(rng):
-    # frames_from_kv applies FrameKV's rule once to a stack of frames:
-    # one read-only copy of the stacked K and one of V, viewed per frame.
+    # frames_from_kv takes one read-only copy of the stacked K and one of
+    # V, and each frame views its own slice of them.
     k, v = rng.standard_normal((2, 3, 2, 2, 4, 8))
     stacked = frames_from_kv(5, k, v)
     for name, passed in (("k", k), ("v", v)):
@@ -166,30 +189,24 @@ def test_stacked_frames_match_single_frames(rng):
         with pytest.raises(ValueError, match="read-only"):
             base[0, 0, 0, 0, 0] = 1.0
     for i, f in enumerate(stacked):
-        single = FrameKV(5 + i, k[i], v[i])
-        assert f.frame_id == single.frame_id == 5 + i
-        assert f.key_bound == single.key_bound and isinstance(f.key_bound, float)
-        for a, b in ((f.k, single.k), (f.v, single.v)):
-            assert np.array_equal(a, b) and not np.shares_memory(a, b)
-            assert not (a.flags.writeable or b.flags.writeable or b.base.flags.writeable)
-            assert a.flags.c_contiguous and b.flags.c_contiguous
+        assert f.frame_id == 5 + i
+        assert f.key_bound == np.abs(k[i]).max() and isinstance(f.key_bound, float)
+        for a, passed in ((f.k, k[i]), (f.v, v[i])):
+            assert np.array_equal(a, passed) and not a.flags.writeable and a.flags.c_contiguous
             assert not (np.shares_memory(a, k) or np.shares_memory(a, v))
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0, 0, 0] = 1.0
-    v[1, 0, 1, 2, 3] = np.inf
-    with pytest.raises(ShapeError, match="non-finite"):
-        frames_from_kv(5, k, v)
-    with pytest.raises(ShapeError):
-        frames_from_kv(5, k, v[:, :, :, :, :1])
 
 
 def test_key_bound_is_not_an_argument_and_not_compared(rng):
     f = random_frames(rng, 1)[0]
-    with pytest.raises(TypeError):
-        FrameKV(0, f.k, f.v, key_bound=1.0)
+    # frames_from_kv is the only constructor: neither a direct call nor
+    # dataclasses.replace builds a frame.
+    for build in (lambda: FrameKV(0, f.k, f.v), lambda: FrameKV(0, f.k, f.v, key_bound=1.0), lambda: replace(f)):
+        with pytest.raises(TypeError):
+            build()
     assert "key_bound" not in repr(f)
     # Same arrays, another bound: still equal.
     other = copy.copy(f)
     object.__setattr__(other, "key_bound", f.key_bound + 1.0)
     assert other == f
-    assert replace(f).key_bound == f.key_bound

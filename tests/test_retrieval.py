@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from membank import retrieval
 from membank.engine import Mode, initial_state, step_chunk
 from membank.errors import EmptyMemoryError, ShapeError
-from membank.frames import FrameKV, MemoryBank
+from membank.frames import MemoryBank, frames_from_kv
 from membank.metrics import chunk_digest
 from membank.oracles import best_subset, random_frames, relevance_scores_loop
 from membank.retrieval import TextQuery, memory_update, text_relevance_scores
 from membank.toymodel import ModelConfig, encode_prompt, init_weights, make_topic_space, synth_chunk
+
+from hand_frames import hand_frame
 
 L, H, P, D = 2, 2, 4, 8
 
@@ -40,9 +42,7 @@ class TestRelevanceScores:
         aligned[:, :, :, 0] = 5.0  # keys along the query direction
         ortho = np.zeros((L, H, P, D))
         ortho[:, :, :, 1] = 5.0
-        fa = FrameKV(0, k=aligned, v=np.zeros_like(aligned))
-        fb = FrameKV(1, k=ortho, v=np.zeros_like(ortho))
-        bank = make_bank([fa, fb])
+        bank = make_bank([hand_frame(0, aligned), hand_frame(1, ortho)])
         q = TextQuery(qvec)
         scores = text_relevance_scores(q, bank)
         assert scores[0] > scores[1]
@@ -105,7 +105,7 @@ def planted_frame(frame_id, direction, magnitude):
     """Keys all along one basis direction of the query space."""
     k = np.zeros((L, H, P, D))
     k[:, :, :, direction] = magnitude
-    return FrameKV(frame_id, k=k, v=np.zeros_like(k))
+    return hand_frame(frame_id, k)
 
 
 ALONG_0 = np.zeros((L, H, D))
@@ -161,11 +161,9 @@ class TestMemoryUpdateRetention:
     def test_retain_subset_keeps_order(self, rng):
         # frame 1 scores highest, then frame 0: the two are kept in bank
         # order, not score order
-        frames = []
-        for i, magnitude in enumerate((2.0, 3.0, 1.0)):
-            k = np.zeros((2, 2, 4, 8))
-            k[..., 0] = magnitude
-            frames.append(FrameKV(i, k=k, v=np.zeros_like(k)))
+        k = np.zeros((3, 2, 2, 4, 8))
+        k[..., 0] = np.array([2.0, 3.0, 1.0])[:, None, None, None]
+        frames = frames_from_kv(0, k, np.zeros_like(k))
         query = np.zeros((2, 2, 8))
         query[..., 0] = 4.0
         chunk = random_frames(rng, 2, start_id=9)
@@ -221,12 +219,10 @@ class TestMemoryUpdate:
         # force frame 0 orthogonal (lowest score) so frames 1,2 are kept
         qvec = np.zeros((L, H, D))
         qvec[:, :, 0] = 4.0
-        frames = []
+        k = np.zeros((3, L, H, P, D))
         for i in range(3):
-            k = np.zeros((L, H, P, D))
-            k[:, :, :, 0 if i else 1] = 2.0 + i
-            frames.append(FrameKV(i, k=k, v=np.zeros_like(k)))
-        bank = make_bank(frames, capacity=3)
+            k[i, :, :, :, 0 if i else 1] = 2.0 + i
+        bank = make_bank(frames_from_kv(0, k, np.zeros_like(k)), capacity=3)
         chunk = random_frames(rng, 3, tokens=P, start_id=9)
         new_bank, retained, _ = memory_update(bank, TextQuery(qvec), chunk)
         assert len(new_bank) == 3
@@ -291,12 +287,12 @@ class TestRelevanceMemo:
         # A frame and a query built on views own copies, so writing to the
         # views' base arrays leaves the kept statistics true to their values.
         kv, qs = rng.standard_normal((2, L, H, P, D)), rng.standard_normal((2, L, H, D))
-        f, q = FrameKV(0, k=kv[0], v=kv[1]), TextQuery(qs[0])
+        (f,), q = frames_from_kv(0, kv[:1], kv[1:]), TextQuery(qs[0])
         lse, desc = f.relevance_lse(q), f.key_descriptor.copy()
         kv += 1.0
         qs += 1.0
         assert f.relevance_lse(q) is lse and np.array_equal(f.key_descriptor, desc)
-        fresh = FrameKV(0, k=f.k.copy(), v=f.v.copy())
+        fresh = hand_frame(0, f.k, f.v)
         assert np.array_equal(fresh.relevance_lse(TextQuery(q.q.copy())), lse)
         assert np.array_equal(fresh.key_descriptor, desc)
 
@@ -305,7 +301,7 @@ class TestRelevanceMemo:
         q = make_query(rng)
         text_relevance_scores(q, make_bank(frames, capacity=6))
         for f in frames:
-            alone = FrameKV(f.frame_id, k=f.k.copy(), v=f.v.copy())
+            alone = hand_frame(f.frame_id, f.k, f.v)
             text_relevance_scores(q, make_bank([alone]))
             assert alone.relevance_lse(q).tobytes() == f.relevance_lse(q).tobytes()
 
@@ -336,11 +332,11 @@ def fresh_copy(state):
     """state rebuilt from new frame objects, which keep no statistics. A
     frame held in several places (sink, bank, window, last chunk) stays one
     object, as in the original."""
-    new: dict[int, FrameKV] = {}
+    new = {}
 
     def copy(frames):
         for f in frames:
-            new.setdefault(f.frame_id, FrameKV(f.frame_id, k=f.k.copy(), v=f.v.copy()))
+            new.setdefault(f.frame_id, hand_frame(f.frame_id, f.k, f.v))
         return tuple(new[f.frame_id] for f in frames)
 
     return replace(

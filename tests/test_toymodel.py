@@ -44,6 +44,16 @@ def test_topic_space_limits():
         TopicSpace(centroids, np.tile(centroids, (1, 2)), 0.1)
 
 
+def test_topic_space_copies_the_callers_arrays():
+    c = np.eye(2)
+    tiled = np.tile(c, (1, 2))
+    space = TopicSpace(c, tiled, 0.1)
+    for passed, kept, was in ((c, space.centroids, np.eye(2)), (tiled, space.embeddings, np.tile(np.eye(2), (1, 2)))):
+        assert passed.flags.writeable and np.array_equal(passed, was)
+        assert not kept.flags.writeable and np.array_equal(kept, was)
+        assert not np.shares_memory(kept, passed)
+
+
 def weight_arrays(cfg):
     w = init_weights(cfg)
     return w.wq, w.wk, w.wv
