@@ -6,8 +6,9 @@ Commands:
           (exit 2 on failure)
   bench   the four modes at the --config geometry over --script, stepping
           chunk by chunk in turn over timed passes: the config, per mode
-          the metrics, median throughput, phase times and minor page
-          faults per chunk, and whether the throughput ordering holds;
+          the metrics, median throughput and cost over no_memory, phase
+          and synthesis times and minor page faults per chunk, and
+          whether the throughput ordering holds;
           JSON to stdout or --out
 
 Exit codes: 0 success, 1 validation failure (a usage error included),

@@ -127,7 +127,7 @@ class ChunkResult:
     attended_key_count: int  # (query, key) pairs of the multiset, repeated frames counted per copy
     computed_key_count: int  # pairs `attend` computed: G*T*P*P fewer per copy the fold dropped
     attention_plan: AttentionPlan
-    wall_time: dict[str, float]  # seconds per step_chunk phase; time_modes adds "synthesis"
+    wall_time: dict[str, float]  # seconds per step_chunk phase
     retained_bank_ids: list[int]
     pre_update_bank_ids: list[int]
     relevance_scores: list[float]  # aligned with pre_update_bank_ids; empty when not scored
@@ -415,8 +415,9 @@ def step_chunk(
 
 def script_inputs(script: NarrativeScript, cfg: ModelConfig, noise_eps: float = NOISE_EPS):
     """The config seeded by `script`, the weights, and a lazy stream of
-    each chunk's (prompt, tokens, synthesis seconds): its `synth_chunk`
-    time plus its share of the segment's `encode_prompt`."""
+    each chunk's (prompt, tokens). A segment's prompt is encoded when the
+    stream reaches the segment's first chunk. The stream reads no clock:
+    `metrics.bench_modes` times each draw."""
     cfg = replace(cfg, seed=script.seed)
     weights = init_weights(cfg)
     space = make_topic_space(script.num_topics, cfg, noise_eps)
@@ -424,13 +425,9 @@ def script_inputs(script: NarrativeScript, cfg: ModelConfig, noise_eps: float = 
     def chunks():
         chunk_id = 0
         for seg in script.segments:
-            t0 = time.perf_counter()
             prompt = encode_prompt(seg.prompt_text, seg.topic, cfg, space, weights)
-            prompt_share = (time.perf_counter() - t0) / seg.chunks
             for _ in range(seg.chunks):
-                t0 = time.perf_counter()
-                chunk = synth_chunk(seg.topic, chunk_id, cfg, space)
-                yield prompt, chunk, time.perf_counter() - t0 + prompt_share
+                yield prompt, synth_chunk(seg.topic, chunk_id, cfg, space)
                 chunk_id += 1
 
     return cfg, weights, chunks()
@@ -443,12 +440,12 @@ def rollout(
     noise_eps: float = NOISE_EPS,
 ) -> RolloutRun:
     """Run a full multi-segment script, synthesising each chunk just
-    before stepping it, and collect per-chunk records. `wall_time` holds
-    the step_chunk phases only; `time_modes` adds "synthesis"."""
+    before stepping it, and collect per-chunk records. Nothing here reads
+    a clock but `step_chunk`, whose phases fill `wall_time`."""
     cfg, weights, inputs = script_inputs(script, cfg, noise_eps)
     state = initial_state(cfg, mode)
     results: list[ChunkResult] = []
-    for prompt, chunk, _ in inputs:
+    for prompt, chunk in inputs:
         state, res = step_chunk(state, prompt, chunk, cfg, weights)
         results.append(res)
     return RolloutRun(mode=mode, cfg=cfg, script=script, results=results)

@@ -1,5 +1,5 @@
-"""Rollout metrics, report assembly, the one timing loop, and the bench
-report built on it."""
+"""Rollout metrics, report assembly, and the bench report with the one
+timing loop in membank."""
 
 from __future__ import annotations
 
@@ -24,8 +24,6 @@ __all__ = [
     "retrieval_precision",
     "sma_vs_full_l2",
     "compute_metrics",
-    "ModeTimes",
-    "time_modes",
     "bench_modes",
     "throughput_ordering",
     "metrics_to_dict",
@@ -122,86 +120,82 @@ def compute_metrics(run: RolloutRun, full_run: Optional[RolloutRun] = None) -> R
     )
 
 
-@dataclass
-class ModeTimes:
-    """One mode in `time_modes`: the untimed pass's results, and what every timed pass measured."""
+def bench_modes(script: NarrativeScript, cfg: ModelConfig, *, repeats: int) -> dict:
+    """Time every mode over one stream of `script_inputs`, and report.
 
-    run: RolloutRun  # chunks/s comes from step_seconds, in bench_modes
-    step_seconds: list[float]  # per timed pass
-    wall_times: list[dict[str, float]]  # per chunk of every timed pass
-    minor_faults: list[int]  # per timed pass
+    The one timing loop in membank. It draws the stream once and times
+    each draw, so a segment's first chunk carries its `encode_prompt`.
+    Then one untimed pass, which takes the process's slow first chunks,
+    and `repeats` timed passes. In each pass every mode steps a fresh
+    state chunk by chunk, the mode order rotated by chunk index, so no
+    mode steps first more often than another and load from elsewhere
+    falls on every mode alike. Only `step_chunk` is timed; its minor page
+    faults are read outside the timer. Passes are bit-identical apart
+    from time, so each mode keeps the untimed pass's `ChunkResult`s, and
+    a timed pass keeps only their `wall_time`.
 
-
-def time_modes(script: NarrativeScript, cfg: ModelConfig, *, repeats: int) -> dict[Mode, ModeTimes]:
-    """Time every mode over one stream of `script_inputs`, built once.
-
-    One untimed pass, which takes the process's slow first chunks, then
-    `repeats` timed passes. In each pass every mode steps a fresh state
-    chunk by chunk, the mode order rotated by chunk index, so no mode
-    steps first more often than another and load from elsewhere falls on
-    every mode alike. Only `step_chunk` is timed; its minor page faults
-    are read outside the timer. Passes are bit-identical apart from time,
-    so each mode keeps the untimed pass's `ChunkResult`s, and no timed
-    pass grows the heap to hold its own.
-    """
-    cfg, weights, inputs = script_inputs(script, cfg)
-    inputs = list(inputs)
+    The report: `config`, the config the rows were measured at (seeded by
+    the script), and one flat row per mode, in `Mode` order. A row holds
+    the untimed pass's `metrics_to_dict` fields, with chunks_per_second
+    and the cost over `no_memory` before the hash; then the median ms per
+    chunk of each `wall_time` phase and of synthesis (a draw), and the
+    median minor faults per chunk. chunks_per_second is the one
+    throughput figure in membank: the median over passes of chunks /
+    (step_chunk + synthesis seconds), the work rollout's loop does.
+    cost_vs_no_memory is the median over passes of those seconds over
+    `no_memory`'s in the same pass, and cost_vs_no_memory_iqr their
+    interquartile range. `nam_sma`'s L2 gap is against the same pass's
+    `nam_full`. `throughput_ordering_ok` checks the rows' chunks/s."""
+    if repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    cfg, weights, stream = script_inputs(script, cfg)
+    inputs, synthesis = [], []  # each chunk's (prompt, tokens), and its draw's seconds
+    started = time.perf_counter()
+    for drawn in stream:
+        synthesis.append(time.perf_counter() - started)
+        inputs.append(drawn)
+        started = time.perf_counter()
     modes = list(Mode)
-    times = {mode: ModeTimes(RolloutRun(mode, cfg, script, []), [], [], []) for mode in modes}
+    runs = {mode: RolloutRun(mode, cfg, script, []) for mode in modes}
+    wall_times = {mode: [] for mode in modes}  # per chunk of every timed pass
+    passes = []  # per timed pass: each mode's step_chunk seconds and minor faults
     for timed in range(-1, repeats):  # -1 is the untimed pass
         states = {mode: initial_state(cfg, mode) for mode in modes}
         seconds = dict.fromkeys(modes, 0.0)
         faults = dict.fromkeys(modes, 0)
-        for i, (prompt, chunk, synthesis) in enumerate(inputs):
+        for i, (prompt, chunk) in enumerate(inputs):
             for mode in modes[i % len(modes) :] + modes[: i % len(modes)]:
                 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 started = time.perf_counter()
                 states[mode], res = step_chunk(states[mode], prompt, chunk, cfg, weights)
                 seconds[mode] += time.perf_counter() - started
                 faults[mode] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-                res.wall_time["synthesis"] = synthesis
                 if timed >= 0:
-                    times[mode].wall_times.append(res.wall_time)
+                    wall_times[mode].append(res.wall_time)
                 else:
-                    times[mode].run.results.append(res)
+                    runs[mode].results.append(res)
         if timed >= 0:
-            for mode, t in times.items():
-                t.step_seconds.append(seconds[mode])
-                t.minor_faults.append(faults[mode])
-    return times
-
-
-def bench_modes(script: NarrativeScript, cfg: ModelConfig, *, repeats: int) -> dict:
-    """The bench report of one `time_modes` call: `config`, the config
-    the rows were measured at (seeded by the script), and one flat row
-    per mode, in `Mode` order. A row holds the untimed pass's
-    `metrics_to_dict` fields, with chunks_per_second before the hash;
-    then the median ms per chunk of each `wall_time` phase and the median
-    minor faults per chunk. chunks_per_second is the one throughput
-    figure in membank: the median over passes of chunks / (step_chunk +
-    synthesis seconds), the work rollout's loop does. `nam_sma`'s L2 gap
-    is against the same pass's `nam_full`. `throughput_ordering_ok`
-    checks the rows' chunks/s."""
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    times = time_modes(script, cfg, repeats=repeats)
+            passes.append((seconds, faults))
+    n, total_synthesis = len(inputs), sum(synthesis)
+    work = [{mode: s + total_synthesis for mode, s in seconds.items()} for seconds, _ in passes]
     rows, cps_by_mode = [], {}
-    for mode, t in times.items():
-        n = len(t.run.results)
-        synthesis = sum(r.wall_time["synthesis"] for r in t.run.results)
-        cps_by_mode[mode] = _sig9(statistics.median(n / (s + synthesis) for s in t.step_seconds))
-        m = compute_metrics(t.run, times[Mode.NAM_FULL].run if mode is Mode.NAM_SMA else None)
-        row = {"mode": mode.value, **metrics_to_dict(m), "chunks_per_second": cps_by_mode[mode]}
-        row["determinism_hash"] = row.pop("determinism_hash")  # after chunks_per_second
-        for name in t.wall_times[0]:
-            row[f"{name}_ms"] = _sig9(statistics.median(1e3 * w[name] for w in t.wall_times))
-        row["minor_faults_per_chunk"] = _sig9(statistics.median(f / n for f in t.minor_faults))
+    for mode in modes:
+        cps_by_mode[mode] = _sig9(statistics.median(n / w[mode] for w in work))
+        cost = [w[mode] / w[Mode.NO_MEMORY] for w in work]
+        m = compute_metrics(runs[mode], runs[Mode.NAM_FULL] if mode is Mode.NAM_SMA else None)
+        row = {"mode": mode.value, **metrics_to_dict(m)}
+        row.update(
+            chunks_per_second=cps_by_mode[mode],
+            cost_vs_no_memory=_sig9(statistics.median(cost)),
+            cost_vs_no_memory_iqr=_sig9(float(np.subtract(*np.percentile(cost, [75, 25])))),
+            determinism_hash=row.pop("determinism_hash"),
+        )
+        for name in wall_times[mode][0]:
+            row[f"{name}_ms"] = _sig9(statistics.median(1e3 * w[name] for w in wall_times[mode]))
+        row["synthesis_ms"] = _sig9(1e3 * statistics.median(synthesis))
+        row["minor_faults_per_chunk"] = _sig9(statistics.median(f[mode] / n for _, f in passes))
         rows.append(row)
-    return {
-        "config": asdict(times[Mode.NO_MEMORY].run.cfg),
-        "rows": rows,
-        "throughput_ordering_ok": throughput_ordering(cps_by_mode),
-    }
+    return {"config": asdict(cfg), "rows": rows, "throughput_ordering_ok": throughput_ordering(cps_by_mode)}
 
 
 def throughput_ordering(cps_by_mode: dict[Mode, float]) -> bool:

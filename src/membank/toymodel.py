@@ -14,7 +14,7 @@ inputs stay aligned after projection.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -78,19 +78,21 @@ class TopicSpace:
     embeddings, and a noise level.
 
     A topic's token embedding is its centroid tiled once per head, so
-    every head sees the planted direction. `make_topic_space` tiles every
-    topic once, so synthesis and prompt encoding index a row.
+    every head sees the planted direction. The space tiles every topic
+    once, from its own copy of the centroids, so the table cannot
+    disagree with them, and synthesis and prompt encoding index a row.
     """
 
     centroids: np.ndarray  # [num_topics, d], unit rows
-    embeddings: np.ndarray  # [num_topics, model_dim], centroids tiled per head
+    heads: int
     noise_eps: float
+    embeddings: np.ndarray = field(init=False, repr=False)  # [num_topics, heads * d]
 
     def __post_init__(self):
         # Read-only copies: synthesis reads these arrays for the whole
-        # rollout, and the caller's own arrays stay writable.
-        for name in ("centroids", "embeddings"):
-            a = getattr(self, name).copy()
+        # rollout, and the caller's own array stays writable.
+        centroids = self.centroids.copy()
+        for name, a in (("centroids", centroids), ("embeddings", np.tile(centroids, self.heads))):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         if not 0 <= self.noise_eps < np.inf:
@@ -152,7 +154,7 @@ def make_topic_space(num_topics: int, cfg: ModelConfig, noise_eps: float) -> Top
         )
     rng = _rng(cfg.seed, "topics")
     q, _ = np.linalg.qr(rng.standard_normal((cfg.head_dim, num_topics)))
-    return TopicSpace(centroids=q.T, embeddings=np.tile(q.T, cfg.heads), noise_eps=noise_eps)
+    return TopicSpace(centroids=q.T, heads=cfg.heads, noise_eps=noise_eps)
 
 
 def init_weights(cfg: ModelConfig) -> Weights:
@@ -160,10 +162,13 @@ def init_weights(cfg: ModelConfig) -> Weights:
     dm, d = cfg.model_dim, cfg.head_dim
     shape = (cfg.layers, cfg.heads, dm, d)
     scale = 1.0 / np.sqrt(dm)
-    base = rng.standard_normal(shape) * scale
-    wq = base + QK_JITTER * rng.standard_normal(shape) * scale
-    wk = base + QK_JITTER * rng.standard_normal(shape) * scale
-    wv = rng.standard_normal(shape) * scale
+    try:
+        base = rng.standard_normal(shape) * scale
+        wq = base + QK_JITTER * rng.standard_normal(shape) * scale
+        wk = base + QK_JITTER * rng.standard_normal(shape) * scale
+        wv = rng.standard_normal(shape) * scale
+    except (ValueError, MemoryError) as e:  # numpy's "array is too big" and failed allocations
+        raise ConfigError(f"config too large: weights of shape {shape} cannot be allocated") from e
     return Weights(wq=wq, wk=wk, wv=wv)
 
 

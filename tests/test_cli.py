@@ -199,6 +199,23 @@ def test_config_must_be_object(script_path, tmp_path, capsys):
     assert_one_error_line(rc, capsys, str(cfg), "object")
 
 
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize(
+    "doc, shape",
+    [
+        ({"heads": 100000, "head_dim": 100000}, "(2, 100000, 10000000000, 100000)"),  # larger than numpy can index
+        ({"layers": 100000000000}, "(100000000000, 2, 32, 16)"),  # 745 TiB
+    ],
+    ids=["too_big_to_index", "too_big_to_allocate"],
+)
+def test_config_too_large_to_allocate(script_path, tmp_path, capsys, command, doc, shape):
+    # Both weight arrays exceed the address space, so nothing is allocated.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main([command, "--script", script_path, "--config", str(cfg)])
+    assert_one_error_line(rc, capsys, f"config too large: weights of shape {shape} cannot be allocated")
+
+
 @pytest.mark.parametrize("repeat", ["0", "-2"])
 def test_repeat_below_one_rejected(script_path, capsys, repeat):
     rc = main(["bench", "--script", script_path, "--repeat", repeat])

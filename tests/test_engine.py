@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from membank import engine
 from membank.activation import select_top_k
 from membank.engine import (
     LOGIT_BLOCK_BYTES, AttentionPlan, Mode, RolloutState, attend, initial_state, rollout, script_inputs,
@@ -327,7 +328,7 @@ def step_script(script, cfg, mode):
     chunk, state, result) per chunk."""
     cfg, w, inputs = script_inputs(script, cfg)
     state = initial_state(cfg, mode)
-    for prompt, chunk, _ in inputs:
+    for prompt, chunk in inputs:
         pre_state = state
         state, res = step_chunk(state, prompt, chunk, cfg, w)
         yield cfg, w, pre_state, chunk, state, res
@@ -684,6 +685,19 @@ class TestRollout:
         assert len(run.results) == 1
         assert run.results[0].retained_bank_ids == []
         assert run.results[0].pre_update_bank_ids == []
+
+    def test_script_inputs_read_no_clock(self, monkeypatch):
+        # The stream is pure input; only `metrics.bench_modes` times its draws.
+        def clock():
+            raise AssertionError("script_inputs read the clock")
+
+        script = make_script(pattern=(0, 1), chunks=2)
+        cfg, w, inputs = script_inputs(script, CFG)
+        monkeypatch.setattr(engine.time, "perf_counter", clock)
+        drawn = list(inputs)
+        assert [chunk.chunk_id for _, chunk in drawn] == [0, 1, 2, 3]
+        # One prompt per segment, encoded at its first chunk.
+        assert drawn[0][0] is drawn[1][0] is not drawn[2][0] is drawn[3][0]
 
     def test_six_segment_script(self):
         script = make_script(pattern=(0, 1, 2, 0, 1, 0), chunks=2)

@@ -14,7 +14,6 @@ from membank.metrics import (
     retrieval_precision,
     sma_vs_full_l2,
     throughput_ordering,
-    time_modes,
 )
 from membank.script import NarrativeScript, Segment, parse_script
 from membank.toymodel import ModelConfig
@@ -150,15 +149,27 @@ class TestBenchModes:
     def test_modes_take_turns(self, monkeypatch):
         order = []
         monkeypatch.setattr(metrics, "step_chunk", lambda state, *a: order.append(state.mode) or step_chunk(state, *a))
-        time_modes(single_topic_script(5), CFG, repeats=2)  # one untimed pass, then 2 timed
+        bench_modes(single_topic_script(5), CFG, repeats=2)  # one untimed pass, then 2 timed
         assert order == 3 * [m for i in range(5) for m in list(Mode)[i % 4 :] + list(Mode)[: i % 4]]
 
-    def test_results_kept_from_the_untimed_pass(self):
-        times = time_modes(single_topic_script(5), CFG, repeats=2)
-        for t in times.values():
-            assert len(t.run.results) == 5 and len(t.wall_times) == 2 * 5
-            timed = {id(w) for w in t.wall_times}
-            assert not any(id(r.wall_time) in timed for r in t.run.results)
+    def test_results_kept_from_the_untimed_pass(self, monkeypatch):
+        # Every timed pass's result claims another chunk and 0.5 s per
+        # phase: the rows hash as rollouts, so they hold the untimed
+        # pass's results, and their phase times are the timed passes'.
+        steps = []
+
+        def marked(state, *a):
+            state, res = step_chunk(state, *a)
+            steps.append(None)
+            if len(steps) > 4 * 5:
+                res = replace(res, chunk_id=-1, wall_time=dict.fromkeys(res.wall_time, 0.5))
+            return state, res
+
+        monkeypatch.setattr(metrics, "step_chunk", marked)
+        report = bench_modes(single_topic_script(5), CFG, repeats=2)
+        for row in report["rows"]:
+            assert row["determinism_hash"] == determinism_hash(rollout(single_topic_script(5), CFG, Mode(row["mode"])))
+            assert [row[f"{phase}_ms"] for phase in ("retrieval_update", "projection", "selection", "attention")] == [500.0] * 4
 
     def test_throughput_ordering_predicate(self):
         cps = {Mode.NO_MEMORY: 4.0, Mode.FRAME_SINK: 3.0, Mode.NAM_SMA: 2.0, Mode.NAM_FULL: 1.0}
@@ -191,16 +202,30 @@ class TestBenchModes:
         for row in report["rows"]:
             assert list(row) == [
                 "mode", "retrieval_precision", "sma_vs_full_l2", "mean_attended_keys", "mean_computed_keys",
-                "chunks_per_second", "determinism_hash", "retrieval_update_ms", "projection_ms", "selection_ms",
-                "attention_ms", "synthesis_ms", "minor_faults_per_chunk",
+                "chunks_per_second", "cost_vs_no_memory", "cost_vs_no_memory_iqr", "determinism_hash",
+                "retrieval_update_ms", "projection_ms", "selection_ms", "attention_ms", "synthesis_ms",
+                "minor_faults_per_chunk",
             ]
+
+    def test_cost_is_the_same_pass_ratio_to_no_memory(self):
+        # With one timed pass the ratio is no_memory's chunks/s over the
+        # mode's, and it has no spread.
+        report = bench_modes(revisiting_script(11), CFG, repeats=1)
+        rows = {Mode(r["mode"]): r for r in report["rows"]}
+        assert (rows[Mode.NO_MEMORY]["cost_vs_no_memory"], rows[Mode.NO_MEMORY]["cost_vs_no_memory_iqr"]) == (1.0, 0.0)
+        for r in rows.values():
+            cps = rows[Mode.NO_MEMORY]["chunks_per_second"] / r["chunks_per_second"]
+            assert r["cost_vs_no_memory"] == pytest.approx(cps, rel=1e-8) and r["cost_vs_no_memory_iqr"] == 0.0
+        three = bench_modes(revisiting_script(11), CFG, repeats=3)["rows"]
+        assert three[0]["cost_vs_no_memory"] == 1.0 and all(r["cost_vs_no_memory_iqr"] >= 0 for r in three)
 
     def test_rows_deterministic_modulo_time(self):
         a = bench_modes(revisiting_script(11), CFG, repeats=1)
         b = bench_modes(revisiting_script(11), CFG, repeats=1)
         for ra, rb in zip(a["rows"], b["rows"]):
-            assert ra.pop("minor_faults_per_chunk") >= 0 and rb.pop("minor_faults_per_chunk") >= 0
-            for timed in [k for k in ra if k.endswith("_ms")] + ["chunks_per_second"]:
+            for spread in ("minor_faults_per_chunk", "cost_vs_no_memory_iqr"):
+                assert ra.pop(spread) >= 0 and rb.pop(spread) >= 0
+            for timed in [k for k in ra if k.endswith("_ms")] + ["chunks_per_second", "cost_vs_no_memory"]:
                 assert ra.pop(timed) > 0 and rb.pop(timed) > 0
             assert ra == rb
         assert [r["sma_vs_full_l2"] > 0 for r in a["rows"]] == [m is Mode.NAM_SMA for m in Mode]

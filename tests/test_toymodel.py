@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -41,17 +43,27 @@ def test_topic_space_limits():
             make_topic_space(2, CFG, eps)
     centroids = np.array([[1.0, 0.0], [0.6, 0.8]])
     with pytest.raises(ConfigError, match="near-orthogonal"):
-        TopicSpace(centroids, np.tile(centroids, (1, 2)), 0.1)
+        TopicSpace(centroids, 2, 0.1)
 
 
 def test_topic_space_copies_the_callers_arrays():
     c = np.eye(2)
-    tiled = np.tile(c, (1, 2))
-    space = TopicSpace(c, tiled, 0.1)
-    for passed, kept, was in ((c, space.centroids, np.eye(2)), (tiled, space.embeddings, np.tile(np.eye(2), (1, 2)))):
-        assert passed.flags.writeable and np.array_equal(passed, was)
+    space = TopicSpace(c, 2, 0.1)
+    assert c.flags.writeable and np.array_equal(c, np.eye(2))
+    for kept, was in ((space.centroids, np.eye(2)), (space.embeddings, np.tile(np.eye(2), (1, 2)))):
         assert not kept.flags.writeable and np.array_equal(kept, was)
-        assert not np.shares_memory(kept, passed)
+        assert not np.shares_memory(kept, c)
+
+
+def test_topic_space_derives_its_token_table():
+    # The table is the centroids tiled per head, so the two cannot
+    # disagree, and no argument sets it.
+    assert [f.name for f in fields(TopicSpace) if f.init] == ["centroids", "heads", "noise_eps"]
+    assert np.array_equal(TopicSpace(np.eye(2), 3, 0.1).embeddings, np.tile(np.eye(2), 3))
+    space = make_topic_space(3, CFG, 0.1)
+    assert space.embeddings.shape == (3, CFG.model_dim)
+    for t in range(3):
+        assert np.array_equal(space.embedding(t), np.concatenate([space.centroids[t]] * CFG.heads))
 
 
 def weight_arrays(cfg):
