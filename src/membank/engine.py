@@ -231,8 +231,8 @@ def attend(
 
 
 def _fold_repeats(window, memory):
-    """Fold the repeated frames of a chunk: every layer drops the same
-    number m of memory copies.
+    """Fold the repeated frames of a chunk: every memory drops the same
+    number m of copies.
 
     A layer attends a frame twice when the memory it selected holds a
     frame of the local window (the window keeps the latest bank
@@ -241,31 +241,29 @@ def _fold_repeats(window, memory):
     the same object: ids alone may collide. The chunk's own frames are
     never copies, since `project_kv` builds them in this step. A softmax
     over a multiset equals the softmax over its distinct keys with each
-    key's weight multiplied by its count. So a layer can drop every
-    memory copy of a window frame, and every copy but the first of any
-    other frame, and scale the V rows of the copy it keeps, ones column
-    included, by the count. `attend` runs one key count for all (layer,
-    head) pairs, so each layer drops m copies, the fewest any layer can
-    drop, taking its droppable copies in selection order. When every
-    layer attends the whole pool they all agree, and one memory, the
-    pool, stands for them all.
+    key's weight multiplied by its count. So a memory can drop every copy
+    of a window frame, and every copy but the first of any other frame,
+    and scale the V rows of the copy it keeps, ones column included, by
+    the count. `attend` runs one key count for all (layer, head) pairs,
+    so each memory drops m copies, the fewest any memory can drop, taking
+    its droppable copies in selection order.
 
-    `memory` holds each layer's selected frames. Returns each layer's
-    memory frames kept, m, and the V scales as (layer, position in the
-    context in frames, count), the layer a slice over all layers when
-    they all scale alike; or None when some layer can drop no copy.
-    Counting the copies costs a few set operations per layer; only a
-    chunk that folds walks its layers' frames.
+    `memory` holds one selection per memory: one that all layers share,
+    or one per layer. Returns each memory's frames kept, m, and the V
+    scales as (memory, position in the context in frames, count); m is 0
+    and the memories are returned as given when some memory can drop no
+    copy. Counting the copies costs a few set operations per memory; only
+    a chunk that folds walks its memories' frames.
     """
     window_ids = {*map(id, window)}
     m = len(memory[0])
     for chosen in memory:
         m = min(m, len(chosen) - len({*map(id, chosen)} - window_ids))
         if not m:
-            return None
+            return memory, 0, []
     window_at = dict(zip(map(id, window), range(len(window))))
     kept_memory, scales = [], []
-    for chosen in memory:
+    for i, chosen in enumerate(memory):
         n_kept = len(chosen) - m
         kept, at, extra = [], {}, {}  # frames kept; a kept frame's position; copies folded into a position
         left = m
@@ -280,12 +278,8 @@ def _fold_repeats(window, memory):
             at.setdefault(x, len(kept))
             kept.append(f)
         kept_memory.append(tuple(kept))
-        scales.append(list(extra.items()))
-    # Layers that scale the same copies by the same counts share one
-    # multiply per copy.
-    if all(s == scales[0] for s in scales[1:]):
-        return kept_memory, m, [(slice(None), p, n) for p, n in scales[0]]
-    return kept_memory, m, [(l, p, n) for l, layer in enumerate(scales) for p, n in layer]
+        scales += [(i, p, n) for p, n in extra.items()]
+    return kept_memory, m, scales
 
 
 def step_chunk(
@@ -335,34 +329,35 @@ def step_chunk(
     # Every layer's context is assembled once per chunk, selected memory
     # ++ window ++ the new chunk, into this thread's workspace (`_scratch`)
     # as the (layer, head) pairs `attend` reads: K keys-last, V with a
-    # column of ones. When every layer attends the whole pool (no SMA, or
-    # an SMA k that covers the pool), the context is copied for all layers
-    # in one concatenate per buffer. Otherwise only the window and the
-    # chunk are; the memory frames, which SMA selects per layer, are
-    # copied layer by layer. Freed after each chunk, buffers this size
-    # (about 0.8 MB each at P=64) let glibc trim the heap, and the next
-    # chunk faults the same pages in again: 200-430 minor faults per P=64,
-    # b=12 `nam_full` chunk, against 0-1 with the kept buffers.
-    # A frame a layer attends more than once is assembled once, its V
-    # rows scaled by its count, and every layer drops the same number of
-    # copies (`_fold_repeats`), SMA's selections included. With the whole
-    # pool the layers agree, and one selection and one set of scales
-    # stand for all of them.
+    # column of ones. A chunk is shared when its layers attend the same
+    # memory: no layer has an activation set (every layer attends the
+    # whole pool), or every layer selected the same frames. A shared
+    # chunk's one memory is folded once, copied for all layers in one
+    # concatenate per buffer, and its V rows scaled once for all layers.
+    # Otherwise only the window and the chunk are copied for all layers;
+    # each layer's memory is folded, copied and scaled layer by layer.
+    # Freed after each chunk, buffers this size (about 0.8 MB each at
+    # P=64) let glibc trim the heap, and the next chunk faults the same
+    # pages in again: 200-430 minor faults per P=64, b=12 `nam_full`
+    # chunk, against 0-1 with the kept buffers. A frame a memory holds
+    # more than once is assembled once, its V rows scaled by its count,
+    # and every memory drops the same number of copies (`_fold_repeats`).
     t0 = time.perf_counter()
     L, H, T, P, d = cfg.layers, cfg.heads, cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.head_dim
     G = L * H
     q_scaled = (queries * (1.0 / math.sqrt(d))).reshape(T, G, P, d)
     recent = state.local_window + frames
-    whole_pool = all(len(chosen) == len(pool) for chosen in selected)
-    memory, n_folded, scales = ([pool] if whole_pool else selected), 0, ()
+    first = activation_sets[0]
+    shared = first is None or all(act.indices == first.indices for act in activation_sets)
+    memory, n_folded, scales = (selected[:1] if shared else selected), 0, []
     if pool:
-        memory, n_folded, scales = _fold_repeats(state.local_window, memory) or (memory, 0, ())
+        memory, n_folded, scales = _fold_repeats(state.local_window, memory)
     # Every layer attends the same number of memory frames.
     n_mem = len(memory[0]) * P
     n_keys = n_mem + len(recent) * P
     k = _scratch("k", (L, H, d, n_keys))
     v = _scratch("v", (L, H, n_keys, d + 1))
-    if whole_pool:
+    if shared:
         context = memory[0] + recent
         np.concatenate([f.k.swapaxes(2, 3) for f in context], axis=3, out=k)
         np.concatenate([f.v for f in context], axis=2, out=v[..., :d])
@@ -374,8 +369,8 @@ def step_chunk(
                 np.concatenate([f.k[l].swapaxes(1, 2) for f in chosen], axis=2, out=k[l, :, :, :n_mem])
                 np.concatenate([f.v[l] for f in chosen], axis=1, out=v[l, :, :n_mem, :d])
     v[..., d] = 1.0
-    for l, j, count in scales:
-        rows = v[l, :, j * P : (j + 1) * P]
+    for i, j, count in scales:
+        rows = v[slice(None) if shared else i, :, j * P : (j + 1) * P]
         rows *= count  # in place on the view; `v[...] *= count` would also write it back
     # Each frame's bound was computed once when it was built.
     key_bound = max(f.key_bound for chosen in (recent, *memory) for f in chosen)

@@ -157,18 +157,24 @@ def make_topic_space(num_topics: int, cfg: ModelConfig, noise_eps: float) -> Top
     return TopicSpace(centroids=q.T, heads=cfg.heads, noise_eps=noise_eps)
 
 
+def _draw(rng: np.random.Generator, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """`rng.standard_normal(shape)`; ConfigError when the config asks for
+    an array numpy cannot allocate."""
+    try:
+        return rng.standard_normal(shape)
+    except (ValueError, MemoryError) as e:  # numpy's "array is too big" and failed allocations
+        raise ConfigError(f"config too large: {what} of shape {shape} cannot be allocated") from e
+
+
 def init_weights(cfg: ModelConfig) -> Weights:
     rng = _rng(cfg.seed, "weights")
     dm, d = cfg.model_dim, cfg.head_dim
     shape = (cfg.layers, cfg.heads, dm, d)
     scale = 1.0 / np.sqrt(dm)
-    try:
-        base = rng.standard_normal(shape) * scale
-        wq = base + QK_JITTER * rng.standard_normal(shape) * scale
-        wk = base + QK_JITTER * rng.standard_normal(shape) * scale
-        wv = rng.standard_normal(shape) * scale
-    except (ValueError, MemoryError) as e:  # numpy's "array is too big" and failed allocations
-        raise ConfigError(f"config too large: weights of shape {shape} cannot be allocated") from e
+    base = _draw(rng, shape, "weights") * scale
+    wq = base + QK_JITTER * _draw(rng, shape, "weights") * scale
+    wk = base + QK_JITTER * _draw(rng, shape, "weights") * scale
+    wv = _draw(rng, shape, "weights") * scale
     return Weights(wq=wq, wk=wk, wv=wv)
 
 
@@ -203,9 +209,7 @@ def synth_chunk(
     """
     embedding = space.embedding(topic)
     rng = _rng(cfg.seed, "chunk", chunk_id)
-    frames = rng.standard_normal(
-        (cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.model_dim)
-    )
+    frames = _draw(rng, (cfg.frames_per_chunk, cfg.tokens_per_frame, cfg.model_dim), "chunk tokens")
     frames *= space.noise_eps
     frames /= np.sqrt(cfg.model_dim)
     frames += embedding

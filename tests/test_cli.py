@@ -201,19 +201,31 @@ def test_config_must_be_object(script_path, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "bench"])
 @pytest.mark.parametrize(
-    "doc, shape",
+    "doc, array",
     [
-        ({"heads": 100000, "head_dim": 100000}, "(2, 100000, 10000000000, 100000)"),  # larger than numpy can index
-        ({"layers": 100000000000}, "(100000000000, 2, 32, 16)"),  # 745 TiB
+        # larger than numpy can index
+        ({"heads": 100000, "head_dim": 100000}, "weights of shape (2, 100000, 10000000000, 100000)"),
+        ({"layers": 100000000000}, "weights of shape (100000000000, 2, 32, 16)"),  # 745 TiB
+        ({"tokens_per_frame": 10**15}, f"chunk tokens of shape (3, {10**15}, 32)"),  # 682 PiB
+        ({"frames_per_chunk": 10**15}, f"chunk tokens of shape ({10**15}, 16, 32)"),  # 3.55 EiB
+        ({"tokens_per_frame": 10**18}, f"chunk tokens of shape (3, {10**18}, 32)"),  # too big for numpy
+        ({"tokens_per_frame": 10**30}, f"chunk tokens of shape (3, {10**30}, 32)"),  # past numpy's largest dimension
     ],
-    ids=["too_big_to_index", "too_big_to_allocate"],
+    ids=[
+        "too_big_to_index",
+        "too_big_to_allocate",
+        "tokens_too_big_to_allocate",
+        "frames_too_big_to_allocate",
+        "tokens_too_big_for_numpy",
+        "tokens_past_largest_dimension",
+    ],
 )
-def test_config_too_large_to_allocate(script_path, tmp_path, capsys, command, doc, shape):
-    # Both weight arrays exceed the address space, so nothing is allocated.
+def test_config_too_large_to_allocate(script_path, tmp_path, capsys, command, doc, array):
+    # Every array exceeds the address space, so nothing is allocated.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     rc = main([command, "--script", script_path, "--config", str(cfg)])
-    assert_one_error_line(rc, capsys, f"config too large: weights of shape {shape} cannot be allocated")
+    assert_one_error_line(rc, capsys, f"config too large: {array} cannot be allocated")
 
 
 @pytest.mark.parametrize("repeat", ["0", "-2"])

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from membank import engine
 from membank.activation import select_top_k
 from membank.engine import (
-    LOGIT_BLOCK_BYTES, AttentionPlan, Mode, RolloutState, attend, initial_state, rollout, script_inputs,
-    step_chunk,
+    LOGIT_BLOCK_BYTES, NOISE_EPS, AttentionPlan, Mode, RolloutState, attend, initial_state, rollout,
+    script_inputs, step_chunk,
 )
 from membank.errors import ScriptError, ShapeError
 from membank.frames import MemoryBank
@@ -47,7 +47,7 @@ def make_script(seed=3, pattern=(0, 1, 0), chunks=2):
 
 
 def run_steps(mode, n_chunks, cfg=CFG, topic=0):
-    space = make_topic_space(2, cfg, 0.05)
+    space = make_topic_space(2, cfg, NOISE_EPS)
     w = init_weights(cfg)
     prompt = encode_prompt("steady prompt", topic, cfg, space, w)
     state = initial_state(cfg, mode)
@@ -67,9 +67,9 @@ ODD_CFG = ModelConfig(
 )
 
 
-def record_steps(mode, cfg, topics=(0, 0, 1, 1, 0), noise_eps=0.05):
+def record_steps(mode, cfg, topics=(0, 0, 1, 1, 0), noise_eps=NOISE_EPS):
     """Step one chunk per entry of topics (the prompt follows the topic)
-    and record (pre_state, chunk, state, result) per chunk."""
+    and record (pre_state, prompt, chunk, state, result) per chunk."""
     space = make_topic_space(2, cfg, noise_eps)
     w = init_weights(cfg)
     state = initial_state(cfg, mode)
@@ -79,7 +79,7 @@ def record_steps(mode, cfg, topics=(0, 0, 1, 1, 0), noise_eps=0.05):
         chunk = synth_chunk(topic, c, cfg, space)
         pre_state = state
         state, res = step_chunk(state, prompt, chunk, cfg, w)
-        steps.append((pre_state, chunk, state, res))
+        steps.append((pre_state, prompt, chunk, state, res))
     return w, steps
 
 
@@ -99,7 +99,7 @@ def assert_matches_oracle(mode, cfg, w, steps, rows=slice(None)):
     `rows` picks the query tokens compared (all by default)."""
     T = cfg.frames_per_chunk
     scale = 1.0 / math.sqrt(cfg.head_dim)
-    for pre_state, chunk, state, res in steps:
+    for pre_state, _, chunk, state, res in steps:
         pool = chunk_pool(pre_state, state)
         by_id = {f.frame_id: f for f in pool}
         frames = project_kv(chunk, cfg, w)
@@ -148,21 +148,19 @@ class TestEngineAgainstOracle:
         # window and the chunk alone would skip the max shift, and exp
         # would overflow.
         w, steps = record_steps(mode, CFG, topics=(0, 0, 1, 1))
-        pre_state, chunk, _, quiet = steps[-1]
+        pre_state, prompt, chunk, _, quiet = steps[-1]
         assert quiet.attention_plan.shifted is False
 
         def loud(bank):
             return replace(bank, frames=tuple(hand_frame(f.frame_id, 1e4 * f.k, f.v) for f in bank.frames))
 
         pre_state = replace(pre_state, sink=loud(pre_state.sink), bank=loud(pre_state.bank))
-        space = make_topic_space(2, CFG, 0.05)
-        prompt = encode_prompt("prompt about topic 1", 1, CFG, space, w)
         state, res = step_chunk(pre_state, prompt, chunk, CFG, w)
         loud_ids = {f.frame_id for f in pre_state.sink.frames + pre_state.bank.frames}
         assert all(loud_ids & set(ids) for ids in res.selected_frame_ids)
         assert res.attention_plan.shifted is True
         assert all(np.isfinite(out).all() for out in res.attention_outputs)
-        assert_matches_oracle(mode, CFG, w, [(pre_state, chunk, state, res)])
+        assert_matches_oracle(mode, CFG, w, [(pre_state, prompt, chunk, state, res)])
 
 
 def attend_operands(rng, amplitude=1.0, G=4, P=4, n_ctx=8, d=4):
@@ -277,7 +275,7 @@ SAMPLE_SCRIPT = parse_script(Path(__file__).parents[1] / "sample_script.json")
 
 class TestAttentionPlan:
     """The plans `step_chunk` records on `sample_script.json` at
-    `rollout`'s default token noise, 0.05."""
+    `rollout`'s default token noise, `NOISE_EPS`."""
 
     def test_default_geometry_runs_one_block_unshifted(self):
         for mode in Mode:
@@ -416,15 +414,31 @@ class TestFold:
         metrics = compute_metrics(rollout(FOLD_SCRIPT, cfg, mode))
         assert metrics.mean_computed_keys == pytest.approx(computed / 30, rel=1e-12)
 
+    @pytest.mark.parametrize("cfg", [ModelConfig(), WIDE_CFG], ids=["default", "wide"])
+    def test_layers_that_agree_share_one_memory(self, monkeypatch, cfg):
+        # A chunk whose layers select the same frames hands the fold one
+        # memory for all of them; any other chunk hands it one per layer.
+        memories = []
+        fold = engine._fold_repeats
+
+        def spy(window, memory):
+            memories.append(len(memory))
+            return fold(window, memory)
+
+        monkeypatch.setattr(engine, "_fold_repeats", spy)
+        results = rollout(SAMPLE_SCRIPT, cfg, Mode.NAM_SMA).results
+        agree = [len({act.indices for act in res.activation_sets}) == 1 for res in results if res.activation_sets[0]]
+        assert memories == [1 if same else cfg.layers for same in agree]
+        assert set(agree) == {True, False}
+
     def test_copies_are_objects_not_ids(self):
         # A bank frame with a window frame's id but its own keys is not a
         # copy: it keeps its own columns and weight.
         w, steps = record_steps(Mode.NAM_FULL, CFG, topics=(0, 0, 1))
-        pre_state, chunk, _, _ = steps[-1]
+        pre_state, prompt, chunk, _, _ = steps[-1]
         twins = tuple(hand_frame(f.frame_id, 2.0 * f.k, f.v) for f in pre_state.bank.frames)
         pre_state = replace(pre_state, bank=replace(pre_state.bank, frames=twins))
         assert {f.frame_id for f in twins} & {f.frame_id for f in pre_state.local_window}
-        prompt = encode_prompt("prompt about topic 1", 1, CFG, make_topic_space(2, CFG, 0.05), w)
         state, res = step_chunk(pre_state, prompt, chunk, CFG, w)
         selected = attended_frames(pre_state, state, res)
         by_id = [Counter(f.frame_id for f in pre_state.local_window + chosen) for chosen in selected]
@@ -441,7 +455,7 @@ class TestFold:
         times the chunk's unit query descriptor, so SMA ranks the pool by
         the scores given. Checks the step's fold (`assert_fold`) and
         returns the ids each layer selected and the copies dropped."""
-        space = make_topic_space(2, CFG, 0.05)
+        space = make_topic_space(2, CFG, NOISE_EPS)
         w = init_weights(CFG)
         prompt = encode_prompt("prompt about topic 0", 0, CFG, space, w)
         chunk = synth_chunk(0, 7, CFG, space)
@@ -574,17 +588,15 @@ class TestRandomConfigs:
     @settings(max_examples=30, deadline=None)
     def test_engine_invariants(self, cfg):
         T = cfg.frames_per_chunk
-        topic = self.RANDOM_TOPICS[2]
         for mode in Mode:
             w, steps = record_steps(mode, cfg, self.RANDOM_TOPICS)
             assert_matches_oracle(mode, cfg, w, steps)
-            for pre_state, chunk, state, res in steps:
+            for pre_state, _, chunk, state, res in steps:
                 assert len(state.bank) <= cfg.bank_capacity
                 assert_fold(cfg, w, pre_state, chunk, state, res)
                 assert [f.frame_id for f in state.sink.frames] == list(range(T))
             # One saved state stepped twice gives the recorded chunk both times.
-            pre_state, chunk, _, res = steps[2]
-            prompt = encode_prompt(f"prompt about topic {topic}", topic, cfg, make_topic_space(2, cfg, 0.05), w)
+            pre_state, prompt, chunk, _, res = steps[2]
             _, again = step_chunk(pre_state, prompt, chunk, cfg, w)
             _, third = step_chunk(pre_state, prompt, chunk, cfg, w)
             assert chunk_digest(again) == chunk_digest(third) == chunk_digest(res)
@@ -600,7 +612,7 @@ class TestSmaSelection:
     def test_selection_matches_descriptor_oracle(self, cfg):
         w, steps = record_steps(Mode.NAM_SMA, cfg, topics=(0, 1, 0, 1, 1, 0, 0))
         checked = 0
-        for pre_state, chunk, state, res in steps:
+        for pre_state, _, chunk, state, res in steps:
             pool = pre_state.sink.frames + state.bank.frames
             if not pool:
                 assert res.activation_sets == [None] * cfg.layers
@@ -747,7 +759,7 @@ class TestFullMemoryOracle:
         # nam_sma with k covering bank + sink, at chunk 2 (both in the pool)
         cfg = ModelConfig(seed=3, sma_k=6)
         w, steps = record_steps(Mode.NAM_SMA, cfg, topics=(0, 1, 0))
-        pre_state, chunk, state, res = steps[-1]
+        pre_state, _, chunk, state, res = steps[-1]
         pool = pre_state.sink.frames + state.bank.frames
         assert res.activation_sets[1].indices == tuple(range(len(pool)))
         q = project_queries(chunk, cfg, w)[0, 1, 0]

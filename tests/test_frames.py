@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from membank.engine import Mode, initial_state, step_chunk
+from membank.engine import NOISE_EPS, Mode, initial_state, step_chunk
 from membank.errors import CapacityError, ConfigError, ShapeError
 from membank.frames import FrameKV, MemoryBank, frames_from_kv
 from membank.metrics import chunk_digest
@@ -78,7 +78,7 @@ CFG = ModelConfig(seed=2)
 
 def stepper(cfg=CFG):
     """step(state, chunk_id) -> (state, result) on one steady prompt."""
-    space = make_topic_space(2, cfg, 0.05)
+    space = make_topic_space(2, cfg, NOISE_EPS)
     w = init_weights(cfg)
     prompt = encode_prompt("a steady prompt", 0, cfg, space, w)
     return lambda state, c: step_chunk(state, prompt, synth_chunk(c % 2, c, cfg, space), cfg, w)
@@ -159,7 +159,7 @@ def test_kv_not_4d_rejected(rng, shapes, message):
 
 
 def test_key_bound_is_max_abs_key(rng):
-    space = make_topic_space(2, CFG, 0.05)
+    space = make_topic_space(2, CFG, NOISE_EPS)
     projected = project_kv(synth_chunk(0, 0, CFG, space), CFG, init_weights(CFG))
     for f in projected + random_frames(rng, 3):
         assert f.key_bound == np.abs(f.k).max()
@@ -170,7 +170,7 @@ def test_built_frames_set_every_field(rng):
     # frames_from_kv sets FrameKV's fields by hand, so a field added to the
     # class and not set there would show here, on the engine's frames and
     # on the oracles' alike.
-    space = make_topic_space(2, CFG, 0.05)
+    space = make_topic_space(2, CFG, NOISE_EPS)
     projected = project_kv(synth_chunk(0, 0, CFG, space), CFG, init_weights(CFG))
     names = {f.name for f in fields(FrameKV)}
     for f in projected + random_frames(rng, 3):

@@ -1,10 +1,11 @@
 import json
+import time
 from dataclasses import replace
 
 import pytest
 
 from membank import metrics
-from membank.engine import Mode, rollout, step_chunk
+from membank.engine import Mode, rollout, script_inputs, step_chunk
 from membank.errors import ConfigError, InapplicableMetricError, ScriptError
 from membank.metrics import (
     bench_modes,
@@ -170,6 +171,24 @@ class TestBenchModes:
         for row in report["rows"]:
             assert row["determinism_hash"] == determinism_hash(rollout(single_topic_script(5), CFG, Mode(row["mode"])))
             assert [row[f"{phase}_ms"] for phase in ("retrieval_update", "projection", "selection", "attention")] == [500.0] * 4
+
+    def test_synthesis_is_the_mean_draw(self, monkeypatch):
+        # The first of 5 draws sleeps 40 ms: the mean draw takes at least
+        # 8 ms, while the median stays at an unslept draw.
+        def slow_first(*args):
+            cfg, weights, stream = script_inputs(*args)
+
+            def draws():
+                for i, drawn in enumerate(stream):
+                    if not i:
+                        time.sleep(0.04)
+                    yield drawn
+
+            return cfg, weights, draws()
+
+        monkeypatch.setattr(metrics, "script_inputs", slow_first)
+        report = bench_modes(single_topic_script(5), CFG, repeats=1)
+        assert all(row["synthesis_ms"] >= 40 / 5 for row in report["rows"])
 
     def test_throughput_ordering_predicate(self):
         cps = {Mode.NO_MEMORY: 4.0, Mode.FRAME_SINK: 3.0, Mode.NAM_SMA: 2.0, Mode.NAM_FULL: 1.0}

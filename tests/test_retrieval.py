@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from membank import retrieval
-from membank.engine import Mode, initial_state, step_chunk
+from membank.engine import NOISE_EPS, Mode, initial_state, step_chunk
 from membank.errors import EmptyMemoryError, ShapeError
 from membank.frames import MemoryBank, frames_from_kv
 from membank.metrics import chunk_digest
@@ -311,7 +311,7 @@ class TestRelevanceMemo:
         # for bit, the same step from a copy of the state whose frames are
         # new objects with no statistics kept.
         cfg = ModelConfig(seed=3, bank_capacity=4)
-        space = make_topic_space(2, cfg, 0.05)
+        space = make_topic_space(2, cfg, NOISE_EPS)
         w = init_weights(cfg)
         prompt_a = encode_prompt("the first scene", 0, cfg, space, w)
         prompt_b = encode_prompt("the second scene", 1, cfg, space, w)
@@ -354,7 +354,7 @@ def test_trace_scores_match_scalar_oracle_across_prompt_switches():
     # the chunk's record are the scalar oracle's for that chunk's prompt
     # and pre-update bank, and sum to 1/P.
     cfg = ModelConfig(seed=5, bank_capacity=4)
-    space = make_topic_space(3, cfg, 0.05)
+    space = make_topic_space(3, cfg, NOISE_EPS)
     w = init_weights(cfg)
     state = initial_state(cfg, Mode.NAM_FULL)
     scored = chunk_id = 0
