@@ -69,25 +69,19 @@ UNSHIFTED_LOGIT_BOUND = 64.0
 NOISE_EPS = 0.05
 
 
-class _Workspace(threading.local):
-    """Each thread's attention buffers, one flat float64 array per name,
-    kept across chunks. A buffer grows to the largest chunk yet and never
-    shrinks."""
-
-    def __init__(self):
-        self.buffers: dict[str, np.ndarray] = {}
-
-
-_workspace = _Workspace()
+# Each thread's attention buffers, one flat float64 array per name, kept
+# across chunks.
+_workspace = threading.local()
 
 
 def _scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
     """An exact-size `shape` view of this thread's buffer `name`. Its
     contents are left over from earlier chunks: write before reading."""
     size = math.prod(shape)
-    buf = _workspace.buffers.get(name)
+    buf = getattr(_workspace, name, None)
     if buf is None or buf.size < size:
-        buf = _workspace.buffers[name] = np.empty(size)
+        buf = np.empty(size)
+        setattr(_workspace, name, buf)
     return buf[:size].reshape(shape)
 
 
@@ -238,45 +232,40 @@ def _fold_repeats(window, memory):
     frame of the local window (the window keeps the latest bank
     prototypes and, in the first chunks, the sink's frames) or holds one
     frame twice (frame 0 sits in both the sink and the bank). A copy is
-    the same object: ids alone may collide. The chunk's own frames are
-    never copies, since `project_kv` builds them in this step. A softmax
-    over a multiset equals the softmax over its distinct keys with each
-    key's weight multiplied by its count. So a memory can drop every copy
-    of a window frame, and every copy but the first of any other frame,
-    and scale the V rows of the copy it keeps, ones column included, by
-    the count. `attend` runs one key count for all (layer, head) pairs,
-    so each memory drops m copies, the fewest any memory can drop, taking
+    the same frame, and frames compare by identity, so a frame with
+    another frame's id is not a copy. The chunk's own frames are never
+    copies, since `project_kv` builds them in this step. A softmax over a
+    multiset equals the softmax over its distinct keys with each key's
+    weight multiplied by its count. So a memory can drop every copy of a
+    window frame, and every copy but the first of any other frame, and
+    scale the V rows of the copy it keeps, ones column included, by the
+    count. `attend` runs one key count for all (layer, head) pairs, so
+    each memory drops m copies, the fewest any memory can drop, taking
     its droppable copies in selection order.
 
     `memory` holds one selection per memory: one that all layers share,
     or one per layer. Returns each memory's frames kept, m, and the V
     scales as (memory, position in the context in frames, count); m is 0
     and the memories are returned as given when some memory can drop no
-    copy. Counting the copies costs a few set operations per memory; only
+    copy. Counting the copies costs one set difference per memory; only
     a chunk that folds walks its memories' frames.
     """
-    window_ids = {*map(id, window)}
-    m = len(memory[0])
-    for chosen in memory:
-        m = min(m, len(chosen) - len({*map(id, chosen)} - window_ids))
-        if not m:
-            return memory, 0, []
-    window_at = dict(zip(map(id, window), range(len(window))))
+    window_at = dict(zip(window, range(len(window))))
+    m = min(len(chosen) - len(set(chosen).difference(window_at)) for chosen in memory)
+    if not m:
+        return memory, 0, []
     kept_memory, scales = [], []
     for i, chosen in enumerate(memory):
         n_kept = len(chosen) - m
-        kept, at, extra = [], {}, {}  # frames kept; a kept frame's position; copies folded into a position
+        kept, extra = [], {}  # frames kept; copies folded into a position
         left = m
         for f in chosen:
-            x = id(f)
-            if left:
-                p = n_kept + window_at[x] if x in window_at else at.get(x)
-                if p is not None:
-                    extra[p] = extra.get(p, 1) + 1
-                    left -= 1
-                    continue
-            at.setdefault(x, len(kept))
-            kept.append(f)
+            if left and (f in window_at or f in kept):
+                p = n_kept + window_at[f] if f in window_at else kept.index(f)
+                extra[p] = extra.get(p, 1) + 1
+                left -= 1
+            else:
+                kept.append(f)
         kept_memory.append(tuple(kept))
         scales += [(i, p, n) for p, n in extra.items()]
     return kept_memory, m, scales

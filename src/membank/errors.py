@@ -23,7 +23,3 @@ class EmptyMemoryError(MembankError):
 
 class ScriptError(MembankError):
     """A narrative script file failed parsing or schema validation."""
-
-
-class InapplicableMetricError(MembankError):
-    """A metric was requested for a rollout mode it does not apply to."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .errors import CapacityError, ConfigError, ShapeError
 __all__ = ["FrameKV", "MemoryBank", "frames_from_kv"]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class FrameKV:
     """KV cache of a single latent frame across all layers and heads.
 
@@ -29,15 +28,16 @@ class FrameKV:
     `FrameKV(...)` raises TypeError. k and v are finite, read-only float64
     arrays of shape [L, H, P, d]; P is tokens per frame. `key_bound` is
     max |k| over the whole frame: the attention kernel bounds its logits
-    by it.
+    by it. A frame is its own identity: `==` is `is` and the hash is the
+    object's, so two frames with one id and equal arrays are two frames.
+    Its caches, the key descriptor and the relevance memo, live in the
+    instance `__dict__` beside the four fields.
     """
 
     frame_id: int
     k: np.ndarray
     v: np.ndarray
-    key_bound: float = field(repr=False, compare=False)
-    # relevance_lse's one-slot memo: (query, its [L * H] statistics).
-    _lse_memo: Optional[tuple] = field(default=None, repr=False, compare=False)
+    key_bound: float = field(repr=False)
 
     @cached_property
     def key_descriptor(self) -> np.ndarray:
@@ -56,11 +56,12 @@ class FrameKV:
 
         query is a `retrieval.TextQuery`; a query whose layers, heads or
         head dim differ from the frame's raises ShapeError. The result is
-        kept in a one-slot memo keyed on the query object (`is`); both
-        arrays are read-only, so it is a pure function of (frame, query).
-        Another query replaces the slot.
+        kept in a one-slot memo, `(query, lse)` under `_lse_memo` in the
+        instance `__dict__`, keyed on the query object (`is`); both arrays
+        are read-only, so it is a pure function of (frame, query). Another
+        query replaces the slot.
         """
-        memo = self._lse_memo
+        memo = self.__dict__.get("_lse_memo")
         if memo is not None and memo[0] is query:
             return memo[1]
         layers, heads, _, d = self.k.shape
@@ -69,7 +70,7 @@ class FrameKV:
         logits = (self.k @ query.scaled[..., None])[..., 0]  # [L, H, P]
         lse = np.logaddexp.reduce(logits, axis=2).ravel()
         lse.setflags(write=False)
-        object.__setattr__(self, "_lse_memo", (query, lse))
+        self.__dict__["_lse_memo"] = (query, lse)
         return lse
 
 
@@ -99,7 +100,7 @@ def frames_from_kv(first_id: int, k: np.ndarray, v: np.ndarray) -> list[FrameKV]
     frames = []
     for i, bound in enumerate(bounds):
         frame = object.__new__(FrameKV)
-        frame.__dict__.update(frame_id=first_id + i, k=k[i], v=v[i], key_bound=bound, _lse_memo=None)
+        frame.__dict__.update(frame_id=first_id + i, k=k[i], v=v[i], key_bound=bound)
         frames.append(frame)
     return frames
 

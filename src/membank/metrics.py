@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import Mode, RolloutRun, initial_state, script_inputs, step_chunk
-from .errors import ConfigError, InapplicableMetricError
+from .errors import ConfigError
 from .script import NarrativeScript
 from .toymodel import ModelConfig
 
@@ -70,10 +70,6 @@ def retrieval_precision(run: RolloutRun) -> Optional[float]:
     of the chunk's planted topic. Returns None when no update was
     eligible.
     """
-    if not run.mode.uses_bank:
-        raise InapplicableMetricError(
-            f"retrieval precision undefined for mode {run.mode.value}"
-        )
     script, cfg = run.script, run.cfg
     eligible = 0
     hits = 0
@@ -109,10 +105,9 @@ def sma_vs_full_l2(sma_run: RolloutRun, full_run: RolloutRun) -> float:
 
 
 def compute_metrics(run: RolloutRun, full_run: Optional[RolloutRun] = None) -> RolloutMetrics:
-    precision = retrieval_precision(run) if run.mode.uses_bank else None
     l2 = sma_vs_full_l2(run, full_run) if (run.mode is Mode.NAM_SMA and full_run) else 0.0
     return RolloutMetrics(
-        retrieval_precision=precision,
+        retrieval_precision=retrieval_precision(run),
         sma_vs_full_l2=l2,
         mean_attended_keys=float(np.mean([r.attended_key_count for r in run.results])),
         mean_computed_keys=float(np.mean([r.computed_key_count for r in run.results])),

@@ -42,9 +42,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TextQuery:
-    """Pooled prompt query, one d-vector per (layer, head): shape [L, H, d]."""
+    """Pooled prompt query, one d-vector per (layer, head): shape [L, H, d].
+    Like a frame, it compares and hashes by identity."""
 
     q: np.ndarray
 

@@ -206,7 +206,12 @@ def test_key_bound_is_not_an_argument_and_not_compared(rng):
         with pytest.raises(TypeError):
             build()
     assert "key_bound" not in repr(f)
-    # Same arrays, another bound: still equal.
+    # A frame is its own identity: a copy with the same arrays is another
+    # frame, and so are two frames drawn alike under one id.
     other = copy.copy(f)
-    object.__setattr__(other, "key_bound", f.key_bound + 1.0)
-    assert other == f
+    assert f == f and other != f
+    (a,), (b,) = (random_frames(np.random.default_rng(0), 1) for _ in range(2))
+    assert a.frame_id == b.frame_id and np.array_equal(a.k, b.k) and np.array_equal(a.v, b.v)
+    assert (a == b) is False and a not in (b,) and a in (b, a)
+    assert MemoryBank(2, (a,)) != MemoryBank(2, (b,))
+    assert len({a, b, a, other, f}) == 4 and {a: "a", b: "b"}[b] == "b"

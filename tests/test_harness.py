@@ -6,7 +6,7 @@ import pytest
 
 from membank import metrics
 from membank.engine import Mode, rollout, script_inputs, step_chunk
-from membank.errors import ConfigError, InapplicableMetricError, ScriptError
+from membank.errors import ConfigError, ScriptError
 from membank.metrics import (
     bench_modes,
     compute_metrics,
@@ -86,10 +86,11 @@ class TestRetrievalPrecision:
         run = rollout(revisiting_script(11), CFG, Mode.NAM_FULL, noise_eps=0.0)
         assert retrieval_precision(run) == 1.0
 
-    def test_wrong_mode_rejected(self):
-        run = rollout(single_topic_script(), CFG, Mode.FRAME_SINK)
-        with pytest.raises(InapplicableMetricError):
-            retrieval_precision(run)
+    @pytest.mark.parametrize("mode", [Mode.NO_MEMORY, Mode.FRAME_SINK], ids=lambda m: m.value)
+    def test_memoryless_modes_report_none(self, mode):
+        # No bank update runs, so no update is eligible.
+        run = rollout(single_topic_script(), CFG, mode)
+        assert retrieval_precision(run) is None
 
     def test_no_eligible_updates_reports_none(self):
         # single chunk per topic, never revisited: the bank never holds a
